@@ -132,7 +132,8 @@ impl Scenario {
                 ",\"lp_stats\":{{\"ftran_solves\":{},\"ftran_nnz\":{},\"btran_solves\":{},\
                  \"btran_nnz\":{},\"peak_alloc_bytes\":{},\"ft_updates\":{},\"spike_nnz\":{},\
                  \"update_nnz\":{},\"refactor_interval\":{},\"refactor_fill\":{},\
-                 \"refactor_unstable\":{}}}",
+                 \"refactor_unstable\":{},\"refactor_repair\":{},\"distress_retries\":{},\
+                 \"dense_fallbacks\":{}}}",
                 st.ftran_solves,
                 st.ftran_nnz,
                 st.btran_solves,
@@ -143,7 +144,10 @@ impl Scenario {
                 st.update_nnz,
                 st.refactor_interval,
                 st.refactor_fill,
-                st.refactor_unstable
+                st.refactor_unstable,
+                st.refactor_repair,
+                st.distress_retries,
+                st.dense_fallbacks
             ));
         }
         s.push('}');
@@ -439,8 +443,8 @@ fn main() {
 fn diff_against(old_json: &str, new: &[Scenario]) -> Vec<String> {
     let mut failures = Vec::new();
     println!(
-        "{:<28} {:>12} {:>12} {:>8} {:>10} {:>12}",
-        "compare", "old", "new", "ratio", "spike nnz", "refac i/f/u"
+        "{:<28} {:>12} {:>12} {:>8} {:>10} {:>14}",
+        "compare", "old", "new", "ratio", "spike nnz", "refac i/f/u/r"
     );
     for s in new {
         // The FT counters of the new run (old emissions predating the
@@ -452,14 +456,17 @@ fn diff_against(old_json: &str, new: &[Scenario]) -> Vec<String> {
                 (
                     format!("{}", st.spike_nnz),
                     format!(
-                        "{}/{}/{}",
-                        st.refactor_interval, st.refactor_fill, st.refactor_unstable
+                        "{}/{}/{}/{}",
+                        st.refactor_interval,
+                        st.refactor_fill,
+                        st.refactor_unstable,
+                        st.refactor_repair
                     ),
                 )
             });
         let Some(obj) = scenario_object(old_json, &s.name) else {
             println!(
-                "{:<28} {:>12} {:>12.1} {:>8} {:>10} {:>12}",
+                "{:<28} {:>12} {:>12.1} {:>8} {:>10} {:>14}",
                 s.name, "-", s.wall_ms, "new", spike, causes
             );
             continue;
@@ -468,7 +475,7 @@ fn diff_against(old_json: &str, new: &[Scenario]) -> Vec<String> {
         let old_iters = num_field(obj, "iterations").unwrap_or(0.0);
         let ratio = s.wall_ms / old_wall.max(1e-9);
         println!(
-            "{:<28} {:>9.1} ms {:>9.1} ms {:>7.2}x {:>10} {:>12}",
+            "{:<28} {:>9.1} ms {:>9.1} ms {:>7.2}x {:>10} {:>14}",
             s.name, old_wall, s.wall_ms, ratio, spike, causes
         );
         if s.wall_ms > 2.0 * old_wall + 25.0 {

@@ -13,9 +13,18 @@
 //!   threshold pivoting), product-form (eta) updates, periodic
 //!   refactorization, and **hyper-sparse** FTRAN/BTRAN that walk only
 //!   the symbolic reach of each right-hand side;
+//! * one-pass repair of singular bases: the factorization reports every
+//!   dependent column at once, each is swapped for the slack of a row
+//!   the elimination left unpivoted, and the result is factored once
+//!   (all-slack as the last resort). [`SolveStats::refactor_repair`]
+//!   counts these factorizations next to the interval, fill and
+//!   stability causes;
 //! * composite phase 1 (minimize total primal infeasibility) starting
 //!   from an all-slack crash basis — coflow LPs start with only a few
-//!   infeasible rows, so phase 1 is short;
+//!   infeasible rows, so phase 1 is short. An **infeasibility list** of
+//!   basis positions, updated from each pivot's FTRAN and flip patterns,
+//!   lets the phase-1 and dual-simplex feasibility checks visit the few
+//!   infeasible basics instead of all `m`;
 //! * Devex pricing with incremental reduced costs in phase 2, and a
 //!   Bland's-rule fallback that guarantees termination under degeneracy;
 //! * a warm-start dual simplex with a bound-flipping ratio test and

@@ -288,6 +288,7 @@ impl Simplex<'_> {
             }
         }
         debug_assert_eq!(basic_cols.len(), m);
+        self.fresh = None;
         self.basis.clear();
         self.basis.extend_from_slice(&basic_cols);
         self.pos_of.iter_mut().for_each(|p| *p = u32::MAX);
@@ -336,8 +337,9 @@ impl Simplex<'_> {
             // snapshot). The primal phases still profit from the basis.
             return self.run();
         }
-        // Bound flips moved nonbasic values; refresh basic values.
-        self.refactor_and_recompute(false)?;
+        // Bound flips moved nonbasic values; refresh basic values (a
+        // no-op when nothing flipped).
+        self.refresh(false)?;
 
         // ---- Dual simplex until primal feasible ----
         // Stall guard: a snapshot can be so far from the new optimum
@@ -374,7 +376,7 @@ impl Simplex<'_> {
                     // but rule out stale-factorization drift first.
                     if !retried {
                         retried = true;
-                        self.refactor_and_recompute(false)?;
+                        self.refresh(false)?;
                         continue;
                     }
                     return Err(LpError::Infeasible);
@@ -386,7 +388,7 @@ impl Simplex<'_> {
         // Recompute duals from scratch (kills incremental drift), then
         // let the primal certify optimality; with exact dual feasibility
         // it exits without pivoting.
-        self.refactor_and_recompute(false)?;
+        self.refresh(false)?;
         loop {
             if self.iterations >= self.max_iterations {
                 return Err(LpError::IterationLimit {
@@ -400,7 +402,7 @@ impl Simplex<'_> {
                 StepOutcome::Unbounded => return Err(LpError::Unbounded),
             }
         }
-        self.refactor_and_recompute(false)?;
+        self.refresh(false)?;
         let y = self.scaled_duals();
         Ok(self.finish(y))
     }
@@ -421,6 +423,7 @@ impl Simplex<'_> {
                     if self.sf.ub[j].is_finite() {
                         self.stat[j] = CStat::Upper;
                         self.x[j] = self.sf.ub[j];
+                        self.fresh = None;
                     } else {
                         return false;
                     }
@@ -429,6 +432,7 @@ impl Simplex<'_> {
                     if self.sf.lb[j].is_finite() {
                         self.stat[j] = CStat::Lower;
                         self.x[j] = self.sf.lb[j];
+                        self.fresh = None;
                     } else {
                         return false;
                     }
@@ -448,13 +452,17 @@ impl Simplex<'_> {
 
         // 1. Leaving row: most-violated basic variable, optionally
         // scaled by the dual row weights (Devex proxy, or exact dual
-        // steepest edge under `Pricing::SteepestEdge`).
+        // steepest edge under `Pricing::SteepestEdge`). Candidates come
+        // from the infeasibility list, in position order.
         let use_devex = self.opt.pricing != super::Pricing::Dantzig && !self.bland;
         let mut r = usize::MAX;
         let mut worst = 0.0f64;
         let mut best_score = 0.0f64;
         let mut to_upper = false;
-        for (i, &j) in self.basis.iter().enumerate() {
+        self.compact_infeasible();
+        for &iu in &self.infeas {
+            let i = iu as usize;
+            let j = self.basis[i];
             let v = self.x[j];
             let above = v - self.sf.ub[j];
             let below = self.sf.lb[j] - v;
@@ -533,6 +541,7 @@ impl Simplex<'_> {
             self.breakpoints = bps;
             return Ok(StepOutcome::Unbounded);
         }
+        self.fresh = None;
 
         // Walk breakpoints in ratio order. A boxed column whose capacity
         // |alpha|·(ub−lb) cannot absorb the remaining violation is
@@ -629,6 +638,7 @@ impl Simplex<'_> {
                     if v != 0.0 {
                         let j = self.basis[i as usize];
                         self.x[j] -= v;
+                        self.note_basic_moved(i as usize);
                     }
                 }
                 fv.clear();
@@ -668,6 +678,9 @@ impl Simplex<'_> {
             if di != 0.0 {
                 let j = self.basis[i as usize];
                 self.x[j] -= t * di;
+                if i as usize != r {
+                    self.note_basic_moved(i as usize);
+                }
             }
         }
         self.x[q] += t;
@@ -723,6 +736,7 @@ impl Simplex<'_> {
         self.stat[q] = CStat::Basic;
         self.z[jl] = -theta_d;
         self.z[q] = 0.0;
+        self.note_basic_moved(r);
         self.d_work = d;
         if !updated {
             // FT declined the spike: the factorization still encodes the

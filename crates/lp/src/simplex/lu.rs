@@ -77,15 +77,19 @@ pub enum RefactorCause {
     Fill,
     /// A Forrest–Tomlin update failed its stability test.
     Unstable,
+    /// A singular basis was repaired (slack substitution, or the
+    /// all-slack last resort) and factored again.
+    Repair,
 }
 
-/// A singular basis: the step at which no acceptable pivot existed.
-#[derive(Clone, Copy, Debug)]
+/// A singular basis: the columns that found no acceptable pivot, and
+/// the rows the elimination left unpivoted (one per deficient column).
+#[derive(Clone, Debug)]
 pub struct Singular {
-    /// Elimination step that failed.
-    pub step: usize,
-    /// Basis position of the offending column.
-    pub basis_pos: usize,
+    /// Basis positions of the linearly dependent columns.
+    pub positions: Vec<u32>,
+    /// Original rows without a pivot, ascending.
+    pub rows: Vec<u32>,
 }
 
 /// One product-form update: basis position `pos` was replaced by a column
@@ -122,6 +126,8 @@ pub struct OpCounts {
     pub refactor_fill: usize,
     /// Refactorizations triggered by a declined (unstable) FT update.
     pub refactor_unstable: usize,
+    /// Factorizations of a repaired (formerly singular) basis.
+    pub refactor_repair: usize,
 }
 
 /// One Forrest–Tomlin row eta: after the column pivoted at step `t` was
@@ -292,6 +298,7 @@ impl Factorization {
             RefactorCause::Interval => self.counts.refactor_interval += 1,
             RefactorCause::Fill => self.counts.refactor_fill += 1,
             RefactorCause::Unstable => self.counts.refactor_unstable += 1,
+            RefactorCause::Repair => self.counts.refactor_repair += 1,
         }
     }
 
@@ -358,8 +365,11 @@ impl Factorization {
     ///
     /// # Errors
     ///
-    /// [`Singular`] when a column turns out linearly dependent (pivot
-    /// below `pivot_tol`).
+    /// [`Singular`] when columns turn out linearly dependent (pivot
+    /// below `pivot_tol`). The elimination does not stop at the first
+    /// one: it skips every deficient column, so the error names all of
+    /// them together with the rows left unpivoted, and substituting those
+    /// rows' slacks yields a nonsingular basis in one pass.
     pub fn refactor(
         &mut self,
         a: &CscMatrix,
@@ -393,10 +403,13 @@ impl Factorization {
         let mut order: Vec<u32> = (0..m as u32).collect();
         order.sort_by_key(|&p| a.col_nnz(basis[p as usize]));
 
-        // Gilbert–Peierls per column.
+        // Gilbert–Peierls per column. `k` counts pivoted columns only:
+        // deficient ones are skipped and reported together at the end.
         let mut pattern: Vec<u32> = Vec::with_capacity(64);
         let mut dfs_stack = std::mem::take(&mut self.dfs_stack);
-        for (k, &p) in order.iter().enumerate() {
+        let mut deficient: Vec<u32> = Vec::new();
+        let mut k = 0usize;
+        for &p in &order {
             let col = basis[p as usize];
             self.epoch += 1;
             let epoch = self.epoch;
@@ -496,15 +509,12 @@ impl Factorization {
                 }
             }
             if piv_row == UNSET || piv_val < pivot_tol {
-                // Clear work before bailing.
+                // Dependent column: clear work, leave its rows unpivoted.
                 for &node in &pattern {
                     self.work[node as usize] = 0.0;
                 }
-                self.dfs_stack = dfs_stack;
-                return Err(Singular {
-                    step: k,
-                    basis_pos: p as usize,
-                });
+                deficient.push(p);
+                continue;
             }
             let diag = self.work[piv_row as usize];
 
@@ -530,8 +540,18 @@ impl Factorization {
             self.rpos[piv_row as usize] = k as u32;
             self.rinv[k] = piv_row;
             self.cinv[k] = p;
+            k += 1;
         }
         self.dfs_stack = dfs_stack;
+        if !deficient.is_empty() {
+            let rows = (0..m as u32)
+                .filter(|&r| self.rpos[r as usize] == UNSET)
+                .collect();
+            return Err(Singular {
+                positions: deficient,
+                rows,
+            });
+        }
         for k in 0..m {
             self.cpos[self.cinv[k] as usize] = k as u32;
         }
@@ -1644,8 +1664,37 @@ mod tests {
             vec![0.0, 0.0, 1.0],
         ]);
         let mut f = Factorization::new(3);
-        let err = f.refactor(&a, &[0, 1, 2], 1e-10);
-        assert!(err.is_err());
+        let err = f.refactor(&a, &[0, 1, 2], 1e-10).unwrap_err();
+        // col0 pivots on row 1 (larger entry, equal row counts); col1 is
+        // then zero on the only unpivoted row, 0.
+        assert_eq!(err.positions, vec![1]);
+        assert_eq!(err.rows, vec![0]);
+        // Swapping in that row's unit column factors.
+        let b = csc_from_dense(&[
+            vec![1.0, 1.0, 0.0],
+            vec![2.0, 0.0, 0.0],
+            vec![0.0, 0.0, 1.0],
+        ]);
+        assert!(f.refactor(&b, &[0, 1, 2], 1e-10).is_ok());
+    }
+
+    #[test]
+    fn every_dependent_column_reported_at_once() {
+        // Four copies of one column plus a unit column: the elimination
+        // keeps going past the first dependent copy and reports all three,
+        // with as many unpivoted rows.
+        let a = csc_from_dense(&[
+            vec![1.0, 1.0, 1.0, 1.0, 0.0],
+            vec![1.0, 1.0, 1.0, 1.0, 0.0],
+            vec![1.0, 1.0, 1.0, 1.0, 0.0],
+            vec![1.0, 1.0, 1.0, 1.0, 0.0],
+            vec![0.0, 0.0, 0.0, 0.0, 1.0],
+        ]);
+        let mut f = Factorization::new(5);
+        let err = f.refactor(&a, &[0, 1, 2, 3, 4], 1e-10).unwrap_err();
+        assert_eq!(err.positions, vec![1, 2, 3]);
+        assert_eq!(err.rows.len(), 3);
+        assert!(err.rows.iter().all(|&r| r < 4));
     }
 
     #[test]

@@ -22,8 +22,8 @@ use crate::presolve;
 use crate::solution::{Solution, Status};
 use crate::sparse::WorkVec;
 use crate::standard::StdForm;
-use lu::Factorization;
 pub use lu::{BasisUpdate, RefactorCause};
+use lu::{Factorization, Singular};
 
 /// Entering-variable pricing rule. Also selects the dual simplex's
 /// leaving-row rule: `Devex` maintains steepest-edge-style row weights,
@@ -299,6 +299,7 @@ impl ScaledSolution {
             refactor_interval: self.ops.refactor_interval,
             refactor_fill: self.ops.refactor_fill,
             refactor_unstable: self.ops.refactor_unstable,
+            refactor_repair: self.ops.refactor_repair,
             distress_retries: 0,
             dense_fallbacks: 0,
         }
@@ -378,6 +379,19 @@ struct Simplex<'a> {
     breakpoints: Vec<(f64, f64, u32)>,
     /// Cyclic partial-pricing cursor.
     price_cursor: usize,
+    /// Basis positions whose value may lie past a bound: every position
+    /// violating a bound by more than half the feasibility tolerance is
+    /// listed (stale entries are allowed and dropped lazily). Rebuilt at
+    /// each refactorization and extended from the FTRAN/flip patterns
+    /// that move basic values, so feasibility checks cost the list's
+    /// length instead of `m`.
+    infeas: Vec<u32>,
+    /// Membership flag per basis position for `infeas`.
+    in_infeas: Vec<bool>,
+    /// `Some(phase1)` of the last `refactor_and_recompute` while nothing
+    /// has moved since (no pivot, flip or nonbasic move); `None` once
+    /// something has.
+    fresh: Option<bool>,
 }
 
 /// Outcome of one pivot step.
@@ -453,23 +467,18 @@ impl<'a> Simplex<'a> {
             flip_pairs: Vec::new(),
             breakpoints: Vec::new(),
             price_cursor: 0,
+            infeas: Vec::new(),
+            in_infeas: vec![false; m],
+            fresh: None,
         }
     }
 
     /// Resets to the all-slack crash basis (used by the warm-solve stall
-    /// guard when a snapshot turns out pathological).
+    /// guard when a snapshot turns out pathological, and as the last
+    /// resort of basis repair).
     pub(super) fn reset_to_all_slack(&mut self) {
         for j in 0..self.sf.n_struct {
-            self.stat[j] = if self.sf.lb[j].is_finite() {
-                self.x[j] = self.sf.lb[j];
-                CStat::Lower
-            } else if self.sf.ub[j].is_finite() {
-                self.x[j] = self.sf.ub[j];
-                CStat::Upper
-            } else {
-                self.x[j] = 0.0;
-                CStat::Free
-            };
+            self.park_at_bound(j);
             self.pos_of[j] = u32::MAX;
         }
         for r in 0..self.sf.m {
@@ -480,6 +489,22 @@ impl<'a> Simplex<'a> {
         }
         self.degen_streak = 0;
         self.bland = false;
+        self.fresh = None;
+    }
+
+    /// Makes column `j` nonbasic at its lower bound, else its upper
+    /// bound, else (free) at zero. Leaves `pos_of` to the caller.
+    fn park_at_bound(&mut self, j: usize) {
+        self.stat[j] = if self.sf.lb[j].is_finite() {
+            self.x[j] = self.sf.lb[j];
+            CStat::Lower
+        } else if self.sf.ub[j].is_finite() {
+            self.x[j] = self.sf.ub[j];
+            CStat::Upper
+        } else {
+            self.x[j] = 0.0;
+            CStat::Free
+        };
     }
 
     fn run(&mut self) -> Result<ScaledSolution, LpError> {
@@ -557,22 +582,31 @@ impl<'a> Simplex<'a> {
     /// Workspace high-water estimate: LU factors + eta file + the
     /// solver's own dense and indexed scratch, from `Vec` capacities.
     fn workspace_bytes(&self) -> usize {
-        let f = std::mem::size_of::<f64>();
+        use std::mem::size_of;
         self.facto.heap_bytes()
             + (self.x.capacity()
                 + self.z.capacity()
                 + self.devex.capacity()
                 + self.dual_w.capacity()
                 + self.alpha_buf.capacity()
+                + self.beta_buf.capacity()
                 + self.col_buf.capacity()
                 + self.row_buf.capacity()
                 + self.rhs_buf.capacity())
-                * f
+                * size_of::<f64>()
             + self.d_work.heap_bytes()
             + self.rho_work.heap_bytes()
             + self.flip_work.heap_bytes()
-            + self.basis.capacity() * std::mem::size_of::<usize>()
-            + (self.pos_of.capacity() + self.alpha_touched.capacity()) * std::mem::size_of::<u32>()
+            + self.basis.capacity() * size_of::<usize>()
+            + (self.pos_of.capacity()
+                + self.alpha_touched.capacity()
+                + self.beta_touched.capacity()
+                + self.infeas.capacity())
+                * size_of::<u32>()
+            + self.flip_pairs.capacity() * size_of::<(u32, f64)>()
+            + self.breakpoints.capacity() * size_of::<(f64, f64, u32)>()
+            + self.stat.capacity() * size_of::<CStat>()
+            + self.in_infeas.capacity() * size_of::<bool>()
     }
 
     /// Row duals of the scaled problem at the current basis:
@@ -587,14 +621,80 @@ impl<'a> Simplex<'a> {
         y
     }
 
-    /// Largest bound violation among basic variables.
-    fn max_infeasibility(&self) -> f64 {
+    /// Largest bound violation among the listed basics. Every basic
+    /// violating a bound by more than half the feasibility tolerance is
+    /// listed, so the result decides `> feas_tol` exactly as a scan of all
+    /// `m` basics would.
+    fn max_infeasibility(&mut self) -> f64 {
+        self.compact_infeasible();
         let mut worst = 0.0f64;
-        for &j in &self.basis {
+        for &i in &self.infeas {
+            let j = self.basis[i as usize];
             let v = self.x[j];
             worst = worst.max(v - self.sf.ub[j]).max(self.sf.lb[j] - v);
         }
         worst
+    }
+
+    /// The loose membership test of the infeasibility list: the basic at
+    /// position `i` lies past a bound by more than half `feas_tol`.
+    #[inline]
+    fn loosely_infeasible(&self, i: usize) -> bool {
+        let j = self.basis[i];
+        let v = self.x[j];
+        let half = 0.5 * self.opt.feas_tol;
+        v - self.sf.ub[j] > half || self.sf.lb[j] - v > half
+    }
+
+    /// Records that the basic value at position `i` moved.
+    #[inline]
+    fn note_basic_moved(&mut self, i: usize) {
+        if !self.in_infeas[i] && self.loosely_infeasible(i) {
+            self.in_infeas[i] = true;
+            self.infeas.push(i as u32);
+        }
+    }
+
+    /// Rebuilds the infeasibility list with one scan of all basics.
+    fn rebuild_infeasible(&mut self) {
+        for &i in &self.infeas {
+            self.in_infeas[i as usize] = false;
+        }
+        self.infeas.clear();
+        for i in 0..self.sf.m {
+            self.note_basic_moved(i);
+        }
+    }
+
+    /// Drops listed positions that are feasible again and sorts the rest,
+    /// so consumers visit candidates in the order a full scan would (same
+    /// tie-breaks, same sparse-vector patterns).
+    fn compact_infeasible(&mut self) {
+        let mut list = std::mem::take(&mut self.infeas);
+        let mut flags = std::mem::take(&mut self.in_infeas);
+        list.retain(|&i| {
+            let keep = self.loosely_infeasible(i as usize);
+            flags[i as usize] = keep;
+            keep
+        });
+        list.sort_unstable();
+        self.infeas = list;
+        self.in_infeas = flags;
+        debug_assert!(
+            self.infeasible_list_covers(),
+            "a basic past its bound is missing from the infeasibility list"
+        );
+    }
+
+    /// Debug oracle for the list: a full O(m) scan finds no basic past
+    /// its bound by more than `feas_tol` that the list missed.
+    fn infeasible_list_covers(&self) -> bool {
+        let tol = self.opt.feas_tol;
+        (0..self.sf.m).all(|i| {
+            let j = self.basis[i];
+            let v = self.x[j];
+            self.in_infeas[i] || !(v - self.sf.ub[j] > tol || self.sf.lb[j] - v > tol)
+        })
     }
 
     fn maybe_refactor(&mut self, phase1: bool) -> Result<(), LpError> {
@@ -613,17 +713,27 @@ impl<'a> Simplex<'a> {
         Ok(())
     }
 
+    /// `refactor_and_recompute`, unless nothing has moved since the last
+    /// one and it computed everything this one would: the factors, basic
+    /// values, reduced costs and reset pricing weights are then already
+    /// what a rebuild would reproduce.
+    fn refresh(&mut self, phase1: bool) -> Result<(), LpError> {
+        if self.fresh.is_some_and(|was_phase1| phase1 || !was_phase1) {
+            return Ok(());
+        }
+        self.refactor_and_recompute(phase1)
+    }
+
     /// Refactorizes the basis and recomputes basic values (and reduced
     /// costs when in phase 2).
     fn refactor_and_recompute(&mut self, phase1: bool) -> Result<(), LpError> {
         self.refactorizations += 1;
-        if self
+        if let Err(sing) = self
             .facto
             .refactor(&self.sf.a, &self.basis, self.opt.pivot_tol)
-            .is_err()
         {
             // Recovery: replace dependent columns with their rows' slacks.
-            self.repair_basis()?;
+            self.repair_basis(sing)?;
         }
         // x_B = B^{-1} (b - A_N x_N)
         self.rhs_buf.clear();
@@ -649,99 +759,62 @@ impl<'a> Simplex<'a> {
         // Reset Devex reference frameworks (primal column and dual row).
         self.devex.iter_mut().for_each(|w| *w = 1.0);
         self.dual_w.iter_mut().for_each(|w| *w = 1.0);
+        self.rebuild_infeasible();
+        self.fresh = Some(phase1);
         Ok(())
     }
 
-    /// Replaces linearly-dependent basis columns with slacks of rows not
-    /// yet covered, then refactorizes. If the greedy swaps fail to
-    /// converge (possible for crash bases with long dependent runs), the
-    /// basis falls back to all-slack — always factorizable, so repair
-    /// never hard-errors on a merely *bad* basis.
-    fn repair_basis(&mut self) -> Result<(), LpError> {
-        // Greedy: try to factor; on failure, swap the offending column for
-        // the slack of an uncovered row. Bounded by m attempts.
-        for _ in 0..self.sf.m + 1 {
-            match self
-                .facto
-                .refactor(&self.sf.a, &self.basis, self.opt.pivot_tol)
-            {
-                Ok(()) => return Ok(()),
-                Err(sing) => {
-                    // Find a row whose slack is nonbasic and swap it in:
-                    // prefer a slack whose row the outgoing column
-                    // touches, fall back to any nonbasic slack (crash
-                    // bases built from solution points can leave long
-                    // dependent runs with no touching slack available).
-                    let out_col = self.basis[sing.basis_pos];
-                    let mut chosen: Option<usize> = None;
-                    for r in 0..self.sf.m {
-                        let slack = self.sf.n_struct + r;
-                        if self.stat[slack] != CStat::Basic {
-                            let touches = self.sf.a.col(out_col).any(|(row, _)| row as usize == r);
-                            if touches {
-                                chosen = Some(slack);
-                                break;
-                            }
-                            if chosen.is_none() {
-                                chosen = Some(slack);
-                            }
-                        }
-                    }
-                    let swapped = if let Some(slack) = chosen {
-                        self.stat[out_col] = if self.sf.lb[out_col].is_finite() {
-                            self.x[out_col] = self.sf.lb[out_col];
-                            CStat::Lower
-                        } else if self.sf.ub[out_col].is_finite() {
-                            self.x[out_col] = self.sf.ub[out_col];
-                            CStat::Upper
-                        } else {
-                            self.x[out_col] = 0.0;
-                            CStat::Free
-                        };
-                        self.pos_of[out_col] = u32::MAX;
-                        self.basis[sing.basis_pos] = slack;
-                        self.pos_of[slack] = sing.basis_pos as u32;
-                        self.stat[slack] = CStat::Basic;
-                        true
-                    } else {
-                        false
-                    };
-                    if !swapped {
-                        break;
-                    }
-                }
-            }
+    /// Repairs a singular basis in one pass. The failed factorization
+    /// reports every dependent column and the rows it left unpivoted;
+    /// each dependent column leaves the basis for the slack of one of
+    /// those rows (preferring a row the column touches), and the result
+    /// is factored once. The pivoted columns keep nonzero pivots on their
+    /// own rows and the slacks cover the rest, so that basis is
+    /// nonsingular; should threshold pivoting still reject it, the basis
+    /// falls back to all-slack — always factorizable, so repair never
+    /// hard-errors on a merely *bad* basis.
+    fn repair_basis(&mut self, sing: Singular) -> Result<(), LpError> {
+        let mut free = vec![false; self.sf.m];
+        for &r in &sing.rows {
+            free[r as usize] = true;
+        }
+        let mut any_free = sing.rows.iter();
+        for &p in &sing.positions {
+            let p = p as usize;
+            let out_col = self.basis[p];
+            let row = match self.sf.a.col(out_col).find(|&(r, _)| free[r as usize]) {
+                Some((r, _)) => r,
+                None => *any_free
+                    .find(|&&r| free[r as usize])
+                    .expect("one unpivoted row per dependent column"),
+            } as usize;
+            free[row] = false;
+            self.park_at_bound(out_col);
+            self.pos_of[out_col] = u32::MAX;
+            let slack = self.sf.n_struct + row;
+            self.basis[p] = slack;
+            self.pos_of[slack] = p as u32;
+            self.stat[slack] = CStat::Basic;
+        }
+        self.facto.count_refactor(RefactorCause::Repair);
+        if self
+            .facto
+            .refactor(&self.sf.a, &self.basis, self.opt.pivot_tol)
+            .is_ok()
+        {
+            return Ok(());
         }
         // Last resort: the all-slack basis is the identity and always
         // factors. The warm start degrades to a crash start, but the
         // solve stays correct.
-        for j in 0..self.sf.n_struct {
-            if self.stat[j] == CStat::Basic {
-                self.stat[j] = if self.sf.lb[j].is_finite() {
-                    self.x[j] = self.sf.lb[j];
-                    CStat::Lower
-                } else if self.sf.ub[j].is_finite() {
-                    self.x[j] = self.sf.ub[j];
-                    CStat::Upper
-                } else {
-                    self.x[j] = 0.0;
-                    CStat::Free
-                };
-            }
-            self.pos_of[j] = u32::MAX;
-        }
-        for r in 0..self.sf.m {
-            let slack = self.sf.n_struct + r;
-            self.stat[slack] = CStat::Basic;
-            self.basis[r] = slack;
-            self.pos_of[slack] = r as u32;
-        }
+        self.reset_to_all_slack();
+        self.facto.count_refactor(RefactorCause::Repair);
         self.facto
             .refactor(&self.sf.a, &self.basis, self.opt.pivot_tol)
             .map_err(|sing| {
                 LpError::NumericalFailure(format!(
-                    "all-slack basis failed to factor at step {}",
-                    sing.step
+                    "all-slack basis failed to factor ({} dependent columns)",
+                    sing.positions.len()
                 ))
             })
     }
@@ -771,17 +844,22 @@ impl<'a> Simplex<'a> {
         // Phase-1 costs: +1 above upper bound, -1 below lower bound.
         // Usually only a handful of basics are infeasible, so the cost
         // vector — and the BTRAN behind the pricing pass — is sparse.
+        // Only listed basics can be infeasible; the list is in position
+        // order, as a full scan would visit them.
         let tol = self.opt.feas_tol;
+        self.compact_infeasible();
         let mut db = std::mem::take(&mut self.rho_work);
         db.clear_to_dim(self.sf.m);
-        for (i, &j) in self.basis.iter().enumerate() {
+        for &iu in &self.infeas {
+            let i = iu as usize;
+            let j = self.basis[i];
             let v = self.x[j];
             if v > self.sf.ub[j] + tol {
                 db.vals[i] = 1.0;
-                db.pattern.push(i as u32);
+                db.pattern.push(iu);
             } else if v < self.sf.lb[j] - tol {
                 db.vals[i] = -1.0;
-                db.pattern.push(i as u32);
+                db.pattern.push(iu);
             }
         }
         if db.nnz() == 0 {
@@ -923,6 +1001,7 @@ impl<'a> Simplex<'a> {
     /// Executes one pivot (or bound flip) with entering column `q`.
     fn pivot(&mut self, q: usize, zq: f64, phase1: bool) -> Result<StepOutcome, LpError> {
         self.iterations += 1;
+        self.fresh = None;
         let sigma = self.eligible_direction(q, zq);
         debug_assert!(sigma != 0.0);
 
@@ -1006,6 +1085,7 @@ impl<'a> Simplex<'a> {
                 if di != 0.0 {
                     let j = self.basis[i as usize];
                     self.x[j] -= sigma * theta * di;
+                    self.note_basic_moved(i as usize);
                 }
             }
             match self.stat[q] {
@@ -1033,11 +1113,15 @@ impl<'a> Simplex<'a> {
             return Ok(StepOutcome::Unbounded);
         }
 
-        // Apply the step.
+        // Apply the step. Position `r` changes hands below and is noted
+        // once the entering column holds it.
         for (i, di) in d.iter() {
             if di != 0.0 {
                 let j = self.basis[i as usize];
                 self.x[j] -= sigma * theta * di;
+                if i as usize != r {
+                    self.note_basic_moved(i as usize);
+                }
             }
         }
         let enter_from = self.x[q];
@@ -1082,6 +1166,7 @@ impl<'a> Simplex<'a> {
         self.pos_of[q] = r as u32;
         self.stat[q] = CStat::Basic;
         self.z[q] = 0.0;
+        self.note_basic_moved(r);
 
         self.d_work = d;
         self.note_progress(theta);

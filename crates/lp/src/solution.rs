@@ -73,6 +73,10 @@ pub struct SolveStats {
     /// Refactorizations forced by the FT stability monitor declining a
     /// spike.
     pub refactor_unstable: usize,
+    /// Factorizations of a repaired basis: one per singular basis whose
+    /// dependent columns were swapped for slacks, plus one more each
+    /// time that repair fell back to the all-slack basis.
+    pub refactor_repair: usize,
     /// Numerical-distress rescues that re-ran the solve with
     /// conservative options (tighter tolerances, eta updates, eager
     /// refactorization) after the first attempt produced a non-finite
@@ -99,6 +103,7 @@ impl SolveStats {
         self.refactor_interval += other.refactor_interval;
         self.refactor_fill += other.refactor_fill;
         self.refactor_unstable += other.refactor_unstable;
+        self.refactor_repair += other.refactor_repair;
         self.distress_retries += other.distress_retries;
         self.dense_fallbacks += other.dense_fallbacks;
     }

@@ -242,3 +242,91 @@ fn degenerate_snapshot_statuses_are_sanitized() {
         .unwrap();
     assert!((s.objective - 4.0).abs() < 1e-7);
 }
+
+#[test]
+fn degenerate_point_basis_is_repaired_in_one_factorization() {
+    // Four singleton columns v_k, each alone in a capacity row
+    // v_k + w_k <= 1, plus three rows w_a + w_b <= 0 that bind with every
+    // w at zero. The optimum v = 1, w = 0 is a degenerate vertex: only
+    // the four v's lie strictly inside their bounds, so the crashed basis
+    // is short by three and gets the slacks of rows 0, 1 and 2 — each
+    // parallel to the v of its row. Three dependent basic columns, all
+    // repaired by one extra factorization.
+    let mut m = Model::new(Sense::Maximize);
+    let v: Vec<_> = (0..4)
+        .map(|k| m.add_var(format!("v{k}"), 0.0, 2.0, 1.0))
+        .collect();
+    let w: Vec<_> = (0..4)
+        .map(|k| m.add_var(format!("w{k}"), 0.0, 1.0, -1.0))
+        .collect();
+    for k in 0..4 {
+        m.add_constraint([(v[k], 1.0), (w[k], 1.0)], Cmp::Le, 1.0);
+    }
+    for (a, b) in [(0, 1), (2, 3), (0, 3)] {
+        m.add_constraint([(w[a], 1.0), (w[b], 1.0)], Cmp::Le, 0.0);
+    }
+    let cold = m.solve().unwrap();
+    let basis = Basis::from_point(&m, &cold.x);
+    assert_eq!(basis.num_basic(), 4, "the vertex is degenerate");
+
+    let (warm, _) = m
+        .solve_warm(Some(&basis), &SolverOptions::default())
+        .unwrap();
+    assert!(
+        (warm.objective - cold.objective).abs() <= 1e-9 * (1.0 + cold.objective.abs()),
+        "warm {} vs cold {}",
+        warm.objective,
+        cold.objective
+    );
+    assert_eq!(
+        warm.stats.refactor_repair, 1,
+        "one repair, one factorization of the repaired basis"
+    );
+    assert_eq!(warm.stats.distress_retries, 0);
+}
+
+#[test]
+fn repair_falls_back_to_all_slack_when_the_repaired_basis_fails() {
+    // Unscaled, so the pivot magnitudes below are the ones the LU sees.
+    // Basis {z, u, w, y1, y2} on rows A..E (A is row 0):
+    //   z = 6e-9·A + 5e-8·B    u = A + B    w = B + E
+    //   y1 = A + 1e-10·C       y2 = A + 1e-10·D
+    // The first factorization pivots z on B (row A holds more basis
+    // entries), u on A and w on E; y1 and y2 are then left with 1e-10
+    // below the pivot tolerance and are swapped for the slacks of C and
+    // D. Without y1 and y2, row A holds fewer entries than B, so the
+    // second factorization pivots z on A at 6e-9 < 1e-8 and rejects the
+    // repaired basis too: the all-slack basis takes over.
+    let mut m = Model::new(Sense::Maximize);
+    let z = m.add_var("z", 0.0, 1.0, 1.0);
+    let u = m.add_var("u", 0.0, 1.0, 1.0);
+    let w = m.add_var("w", 0.0, 1.0, 1.0);
+    let y1 = m.add_var("y1", 0.0, 1.0, 1.0);
+    let y2 = m.add_var("y2", 0.0, 1.0, 1.0);
+    m.add_constraint([(z, 6e-9), (u, 1.0), (y1, 1.0), (y2, 1.0)], Cmp::Le, 1.5);
+    m.add_constraint([(z, 5e-8), (u, 1.0), (w, 1.0)], Cmp::Le, 1.5);
+    m.add_constraint([(y1, 1e-10)], Cmp::Le, 1.0);
+    m.add_constraint([(y2, 1e-10)], Cmp::Le, 1.0);
+    m.add_constraint([(w, 1.0)], Cmp::Le, 1.0);
+    let every_var_basic = Basis {
+        vars: vec![BasisStatus::Basic; 5],
+        rows: vec![BasisStatus::Lower; 5],
+    };
+    let opts = SolverOptions {
+        scale: false,
+        ..Default::default()
+    };
+    let (warm, _) = m.solve_warm(Some(&every_var_basic), &opts).unwrap();
+    let cold = m.solve().unwrap();
+    assert!(
+        (warm.objective - cold.objective).abs() <= 1e-9 * (1.0 + cold.objective.abs()),
+        "warm {} vs cold {}",
+        warm.objective,
+        cold.objective
+    );
+    assert_eq!(
+        warm.stats.refactor_repair, 2,
+        "the repaired basis and then the all-slack basis were factored"
+    );
+    assert_eq!(warm.stats.distress_retries, 0);
+}
