@@ -21,18 +21,20 @@
 //! The event-driven alternative that re-solves at every arrival lives in
 //! [`crate::online`]; benches compare the two (re-solving is greedier
 //! and usually wins on cost, the batch framework holds the guarantee and
-//! solves exponentially fewer LPs).
+//! solves exponentially fewer LPs). Both are arrival policies over one
+//! [`crate::epoch::EpochDriver`]: this module only groups coflows into
+//! batches, and the driver's [`batch`](crate::epoch::EpochDriver::batch)
+//! step solves, executes and freezes each one.
 
+use crate::epoch::EpochDriver;
 use crate::error::CoflowError;
-use crate::heuristic::lp_heuristic;
 use crate::horizon::{horizon, HorizonMode};
-use crate::model::{Coflow, CoflowInstance, Flow};
-use crate::rateplan::RatePlan;
+use crate::model::CoflowInstance;
 use crate::resolver::TimeIndexedResolver;
 use crate::routing::Routing;
-use crate::schedule::{Completions, Schedule, SlotTransfer};
-use crate::stretch::StretchOptions;
+use crate::schedule::{Completions, Schedule};
 use coflow_lp::SolverOptions;
+use std::collections::BTreeMap;
 
 /// Flow-time statistics (`C_j − r_j`, release-relative latency).
 #[derive(Clone, Debug)]
@@ -88,9 +90,8 @@ pub struct BatchedOutcome {
 
 /// The batch boundary a coflow with full release `r` joins under the
 /// doubling framework: the first element of `0, 1, 2, 4, 8, …` that is
-/// `≥ r`. This is the closed form of the boundary assignment inside
-/// [`interval_batch_online`], exported so the streaming service can
-/// assign arrivals to batches without materializing the boundary list.
+/// `≥ r`. [`interval_batch_online`] and the streaming service both
+/// assign coflows to batches with it.
 pub fn doubling_boundary(r: u32) -> u32 {
     if r == 0 {
         0
@@ -134,211 +135,40 @@ pub fn interval_batch_online_with(
     warm: bool,
 ) -> Result<BatchedOutcome, CoflowError> {
     routing.validate(inst)?;
-    let max_release = inst
-        .coflows
-        .iter()
-        .map(Coflow::full_release)
-        .max()
-        .unwrap_or(0);
-
-    // Boundaries 0, 1, 2, 4, … covering every release.
-    let mut boundaries: Vec<u32> = vec![0];
-    let mut b = 1u32;
-    while boundaries.last().copied().expect("nonempty") < max_release {
-        boundaries.push(b);
-        b = b.saturating_mul(2);
+    // Each coflow joins the batch of its doubling boundary; batches
+    // dispatch in boundary order, members in coflow order.
+    let mut batches: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
+    for (j, cf) in inst.coflows.iter().enumerate() {
+        batches
+            .entry(doubling_boundary(cf.full_release()))
+            .or_default()
+            .push(j);
     }
-
-    // Assign each coflow to the first boundary ≥ its full release
-    // (equivalently: the boundary is `doubling_boundary(r)`).
-    let mut batch_of = Vec::with_capacity(inst.num_coflows());
-    for cf in &inst.coflows {
-        let r = cf.full_release();
-        let k = boundaries.partition_point(|&bd| bd < r);
-        let k = k.min(boundaries.len() - 1);
-        debug_assert_eq!(boundaries[k], doubling_boundary(r));
-        batch_of.push(k);
-    }
-
-    let mut schedule = Schedule {
-        flows: inst
-            .coflows
-            .iter()
-            .map(|c| vec![Vec::new(); c.flows.len()])
-            .collect(),
-    };
-    let mut committed_end = 0u32; // last slot used by appended batches
-    let mut batches = 0;
-    let mut dispatched_at = Vec::new();
-    let mut rebuilds = 0;
 
     let t0 = horizon(inst, routing, HorizonMode::Greedy { margin: 1.25 })?;
-    let mut resolver = TimeIndexedResolver::new(inst, routing, t0, warm)?;
-
-    for (k, &boundary) in boundaries.iter().enumerate() {
-        // Members of this batch, with releases reset (the batch starts
-        // from scratch at its dispatch time).
-        let mut members: Vec<usize> = Vec::new();
-        let mut coflows = Vec::new();
-        let mut single_tmp: Vec<Vec<coflow_netgraph::Path>> = Vec::new();
-        let mut multi_tmp: Vec<Vec<Vec<coflow_netgraph::Path>>> = Vec::new();
-        for (j, cf) in inst.coflows.iter().enumerate() {
-            if batch_of[j] != k {
-                continue;
-            }
-            members.push(j);
-            coflows.push(Coflow::weighted(
-                cf.weight,
-                cf.flows
-                    .iter()
-                    .map(|f| Flow::new(f.src, f.dst, f.demand))
-                    .collect(),
-            ));
-            match routing {
-                Routing::SinglePath(p) => single_tmp.push(p[j].clone()),
-                Routing::MultiPath(p) => multi_tmp.push(p[j].clone()),
-                Routing::FreePath => {}
-            }
-        }
-        if members.is_empty() {
-            continue;
-        }
-        batches += 1;
-        let sub_routing = match routing {
-            Routing::SinglePath(_) => Routing::SinglePath(single_tmp),
-            Routing::MultiPath(_) => Routing::MultiPath(multi_tmp),
-            Routing::FreePath => Routing::FreePath,
-        };
-        let sub_inst = CoflowInstance::new(inst.graph.clone(), coflows)
-            .expect("batch of a valid instance is valid");
-        let t_batch = horizon(
-            &sub_inst,
-            &sub_routing,
-            HorizonMode::Greedy { margin: 1.25 },
-        )?;
-
-        let start = boundary.max(committed_end);
-        dispatched_at.push(start);
-        // Make sure the persistent model reaches the end of this batch
-        // before appending its columns (rebuild replays earlier batches
-        // as frozen history).
-        let needed = start + t_batch;
-        if needed > resolver.horizon() {
-            let grown = needed.max(((resolver.horizon() as f64) * 1.5).ceil() as u32);
-            resolver.rebuild(grown)?;
-        }
-        for &j in &members {
-            for i in 0..inst.coflows[j].flows.len() {
-                resolver.activate_flow(j, i, start + 1)?;
-            }
-        }
-        let lp = loop {
-            match resolver.solve(lp_opts)? {
-                Some(lp) => break lp,
-                None => {
-                    rebuilds += 1;
-                    if rebuilds > 8 {
-                        return Err(CoflowError::Lp(
-                            "batch-online resolver: horizon growth did not restore feasibility"
-                                .into(),
-                        ));
-                    }
-                    let grown = ((resolver.horizon() as f64) * 1.5).ceil() as u32 + 1;
-                    resolver.rebuild(grown)?;
-                }
-            }
-        };
-        let sub_plan = batch_plan(&lp.plan, &members, &sub_inst, start);
-        let plan = lp_heuristic(&sub_inst, &sub_plan, StretchOptions::default());
-
-        let mut batch_end = start;
-        for (sj, row) in plan.flows.iter().enumerate() {
-            let j = members[sj];
-            for (i, fl) in row.iter().enumerate() {
-                let demand = inst.coflows[j].flows[i].demand;
-                for st in fl {
-                    let slot = start + st.slot;
-                    batch_end = batch_end.max(slot);
-                    // Freeze the dispatched transfer in the persistent
-                    // LP: later batches re-solve around it, not over it.
-                    resolver.fix_slot(j, i, slot, st.volume / demand);
-                    schedule.flows[j][i].push(SlotTransfer {
-                        slot,
-                        volume: st.volume,
-                        edges: st.edges.clone(),
-                    });
-                }
-            }
-        }
-        committed_end = batch_end;
-    }
-
-    for row in &mut schedule.flows {
-        for fl in row {
-            fl.sort_by_key(|st| st.slot);
-        }
+    let resolver = TimeIndexedResolver::new(inst, routing, t0, warm)?;
+    let mut driver = EpochDriver::new(resolver, lp_opts.clone(), false);
+    let mut dispatched_at = Vec::with_capacity(batches.len());
+    for (&boundary, members) in &batches {
+        dispatched_at.push(boundary.max(driver.committed_end()));
+        driver.batch(boundary, members)?;
     }
     Ok(BatchedOutcome {
-        schedule,
-        batches,
+        batches: dispatched_at.len(),
         dispatched_at,
-        lp_iterations: resolver.total_iterations(),
+        lp_iterations: driver.resolver().total_iterations(),
+        schedule: driver.into_schedule(),
     })
-}
-
-/// Slices the resolver's global-timeline plan down to one batch's
-/// sub-instance: the batch's flows only, segments shifted so the batch
-/// timeline starts at 0.
-fn batch_plan(
-    global: &RatePlan,
-    members: &[usize],
-    sub_inst: &CoflowInstance,
-    start: u32,
-) -> RatePlan {
-    let s0 = start as f64;
-    RatePlan {
-        flows: members
-            .iter()
-            .enumerate()
-            .map(|(sj, &j)| {
-                (0..sub_inst.coflows[sj].flows.len())
-                    .map(|i| global.flows[j][i].tail_from(s0))
-                    .collect()
-            })
-            .collect(),
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::online::tests::staggered_instance as staggered;
     use crate::solver::{Algorithm, Scheduler};
     use crate::validate::{validate, Tolerance};
-    use coflow_netgraph::topology;
     use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-
-    fn staggered(seed: u64, releases: &[u32]) -> CoflowInstance {
-        let topo = topology::swan().scale_capacity(5.0);
-        let g = topo.graph;
-        let nodes: Vec<_> = g.nodes().collect();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let coflows = releases
-            .iter()
-            .map(|&r| {
-                let a = nodes[rng.gen_range(0..nodes.len())];
-                let mut b = nodes[rng.gen_range(0..nodes.len())];
-                while b == a {
-                    b = nodes[rng.gen_range(0..nodes.len())];
-                }
-                Coflow::weighted(
-                    rng.gen_range(1.0..10.0),
-                    vec![Flow::released(a, b, rng.gen_range(20.0..60.0), r)],
-                )
-            })
-            .collect();
-        CoflowInstance::new(g, coflows).unwrap()
-    }
+    use rand::SeedableRng;
 
     #[test]
     fn flow_time_arithmetic_by_hand() {

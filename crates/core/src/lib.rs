@@ -64,6 +64,7 @@
 
 pub mod compact;
 pub mod derand;
+pub mod epoch;
 mod error;
 pub mod flowtime;
 pub mod greedy;

@@ -11,7 +11,9 @@
 //! validator and completion accounting apply unchanged — and the
 //! offline LP bound remains a valid yardstick.
 //!
-//! Since the warm-start rework the per-epoch LP is **not** rebuilt: a
+//! This module is only the arrival policy: it lists the release epochs
+//! and hands each to [`EpochDriver::event_epoch`], which owns the
+//! epoch body. The per-epoch LP is **not** rebuilt: the driver's
 //! persistent [`TimeIndexedResolver`] keeps one model on the global
 //! timeline, each epoch *appends* the newly released flows' columns and
 //! rows, freezes the fractions executed in the window just played, and
@@ -22,15 +24,13 @@
 //! epoch's exact model on the side — the rigorous warm-vs-cold
 //! iteration comparison on identical LPs that `perf_report` records.
 
+use crate::epoch::EpochDriver;
 use crate::error::CoflowError;
-use crate::heuristic::lp_heuristic;
 use crate::horizon::{horizon, HorizonMode};
-use crate::model::{Coflow, CoflowInstance, Flow};
-use crate::rateplan::RatePlan;
+use crate::model::CoflowInstance;
 use crate::resolver::TimeIndexedResolver;
 use crate::routing::Routing;
-use crate::schedule::{Schedule, SlotTransfer};
-use crate::stretch::StretchOptions;
+use crate::schedule::Schedule;
 use coflow_lp::SolverOptions;
 
 /// Knobs for [`online_heuristic_with`].
@@ -106,235 +106,52 @@ pub fn online_heuristic_with(
     epochs.sort_unstable();
     epochs.dedup();
 
-    let mut remaining: Vec<Vec<f64>> = inst
-        .coflows
-        .iter()
-        .map(|c| c.flows.iter().map(|f| f.demand).collect())
-        .collect();
-    let mut schedule = Schedule {
-        flows: inst
-            .coflows
-            .iter()
-            .map(|c| vec![Vec::new(); c.flows.len()])
-            .collect(),
-    };
-    let mut resolves = 0;
-    let mut rebuilds = 0;
-    let mut lp_stats = coflow_lp::SolveStats::default();
-    let mut epoch_objectives = Vec::with_capacity(epochs.len());
-    let mut cold_objectives = Vec::new();
-    let mut cold_iterations = 0usize;
-
     let t0 = horizon(inst, routing, HorizonMode::Greedy { margin: 1.25 })?;
-    let mut resolver = TimeIndexedResolver::new(inst, routing, t0, !online_opts.cold)?;
-
+    let resolver = TimeIndexedResolver::new(inst, routing, t0, !online_opts.cold)?;
+    let mut driver = EpochDriver::new(resolver, lp_opts.clone(), online_opts.shadow_cold);
+    let mut resolves = 0;
     for (ei, &epoch) in epochs.iter().enumerate() {
-        // Reveal this epoch's arrivals to the persistent LP.
-        for (key, f) in inst.flows() {
-            if f.release == epoch {
-                resolver.activate_flow(key.coflow as usize, key.flow as usize, f.release + 1)?;
-            }
-        }
-        // Work available from slot epoch+1 onward.
-        let sub = build_residual(inst, routing, &remaining, epoch);
-        let Some((sub_inst, _sub_routing, index)) = sub else {
-            continue; // nothing pending at this epoch
-        };
-        resolves += 1;
-
-        // Warm re-solve; on horizon overflow grow and replay (rare).
-        let lp = loop {
-            match resolver.solve(lp_opts)? {
-                Some(lp) => break lp,
-                None => {
-                    rebuilds += 1;
-                    if rebuilds > 8 {
-                        return Err(CoflowError::Lp(
-                            "online resolver: horizon growth did not restore feasibility".into(),
-                        ));
-                    }
-                    let grown = ((resolver.horizon() as f64) * 1.5).ceil() as u32 + 1;
-                    resolver.rebuild(grown)?;
-                }
-            }
-        };
-        lp_stats.merge(&lp.stats);
-        epoch_objectives.push(lp.objective);
-        if online_opts.shadow_cold {
-            let (obj, iters) = resolver
-                .probe_cold(lp_opts)?
-                .expect("warm-feasible model is cold-feasible");
-            cold_objectives.push(obj);
-            cold_iterations += iters;
-        }
-
-        // Local residual plan: the global solution restricted to slots
-        // after this epoch, shifted onto the residual timeline.
-        let sub_plan = residual_plan(&lp.plan, &index, epoch);
-        let plan = lp_heuristic(&sub_inst, &sub_plan, StretchOptions::default());
-
         // Execute until the next epoch (or to completion after the last).
-        let window = match epochs.get(ei + 1) {
-            Some(&next) => next - epoch,
-            None => u32::MAX,
-        };
-        let mut executed: std::collections::BTreeMap<(usize, usize, u32), f64> =
-            std::collections::BTreeMap::new();
-        for (sj, row) in plan.flows.iter().enumerate() {
-            for (si, fl) in row.iter().enumerate() {
-                let (j, i) = index[sj][si];
-                for st in fl {
-                    if st.slot > window {
-                        continue; // superseded by the next re-solve
-                    }
-                    let global_slot = epoch + st.slot;
-                    remaining[j][i] -= st.volume;
-                    if remaining[j][i] < 1e-9 {
-                        remaining[j][i] = 0.0;
-                    }
-                    *executed.entry((j, i, global_slot)).or_insert(0.0) += st.volume;
-                    schedule.flows[j][i].push(SlotTransfer {
-                        slot: global_slot,
-                        volume: st.volume,
-                        edges: st.edges.clone(),
-                    });
-                }
-            }
-        }
-        // Freeze the window in the persistent LP: every pending flow's
-        // slots in (epoch, next_epoch] are pinned to what actually ran
-        // (including zero), so the next warm re-solve schedules only the
-        // remaining work. After the last epoch nothing is pending.
-        if window != u32::MAX {
-            let next_epoch = epoch + window;
-            for idx_row in &index {
-                for &(j, i) in idx_row {
-                    let demand = inst.coflows[j].flows[i].demand;
-                    for slot in epoch + 1..=next_epoch.min(resolver.horizon()) {
-                        let vol = executed.get(&(j, i, slot)).copied().unwrap_or(0.0);
-                        resolver.fix_slot(j, i, slot, vol / demand);
-                    }
-                }
-            }
+        if driver
+            .event_epoch(epoch, epochs.get(ei + 1).copied())?
+            .is_some()
+        {
+            resolves += 1;
         }
     }
 
     // All work must be done: the final epoch's schedule ran to completion.
-    for (j, row) in remaining.iter().enumerate() {
-        for (i, &r) in row.iter().enumerate() {
-            if r > 1e-6 {
-                return Err(CoflowError::InvalidSchedule(format!(
-                    "online run left flow ({j},{i}) with {r} unmoved"
-                )));
-            }
-        }
+    if let Some((j, i, r)) = driver.unmoved() {
+        return Err(CoflowError::InvalidSchedule(format!(
+            "online run left flow ({j},{i}) with {r} unmoved"
+        )));
     }
-    for row in &mut schedule.flows {
-        for fl in row {
-            fl.sort_by_key(|st| st.slot);
-        }
-    }
+    let shadow = online_opts.shadow_cold;
     Ok(OnlineOutcome {
-        schedule,
         resolves,
-        lp_iterations: resolver.total_iterations(),
-        lp_stats,
-        epoch_objectives,
-        cold_iterations: online_opts.shadow_cold.then_some(cold_iterations),
-        cold_objectives: online_opts.shadow_cold.then_some(cold_objectives),
-        rebuilds,
+        lp_iterations: driver.resolver().total_iterations(),
+        lp_stats: driver.lp_stats(),
+        epoch_objectives: driver.epoch_objectives().to_vec(),
+        cold_iterations: shadow.then(|| driver.cold_iterations()),
+        cold_objectives: shadow.then(|| driver.cold_objectives().to_vec()),
+        rebuilds: driver.rebuilds(),
+        schedule: driver.into_schedule(),
     })
 }
 
-/// Slices a resolver's global-timeline plan down to the residual
-/// sub-instance: only segments after `epoch`, shifted so the residual
-/// timeline starts at 0, indexed like the sub-instance.
-///
-/// Public for the streaming service (`coflow-service`), whose epoch
-/// loop replays exactly this transformation.
-pub fn residual_plan(global: &RatePlan, index: &ResidualIndex, epoch: u32) -> RatePlan {
-    let e = epoch as f64;
-    RatePlan {
-        flows: index
-            .iter()
-            .map(|idx_row| {
-                idx_row
-                    .iter()
-                    .map(|&(j, i)| global.flows[j][i].tail_from(e))
-                    .collect()
-            })
-            .collect(),
-    }
-}
-
-/// Maps `(sub coflow, sub flow)` of a residual sub-instance back to
-/// `(orig coflow, orig flow)` of the full instance: `index[j'][i']`.
-pub type ResidualIndex = Vec<Vec<(usize, usize)>>;
-
-/// Builds the residual sub-instance of released, unfinished flows at
-/// `epoch`, with releases reset to 0. Returns `None` when nothing is
-/// pending. The index maps `(sub coflow, sub flow) → (orig coflow,
-/// orig flow)`.
-///
-/// Public for the streaming service (`coflow-service`), whose epoch
-/// loop replays exactly this transformation.
-pub fn build_residual(
-    inst: &CoflowInstance,
-    routing: &Routing,
-    remaining: &[Vec<f64>],
-    epoch: u32,
-) -> Option<(CoflowInstance, Routing, ResidualIndex)> {
-    let mut coflows = Vec::new();
-    let mut index: ResidualIndex = Vec::new();
-    let mut single_tmp: Vec<Vec<coflow_netgraph::Path>> = Vec::new();
-    let mut multi_tmp: Vec<Vec<Vec<coflow_netgraph::Path>>> = Vec::new();
-    for (j, cf) in inst.coflows.iter().enumerate() {
-        let mut flows = Vec::new();
-        let mut idx_row = Vec::new();
-        let mut srow = Vec::new();
-        let mut mrow = Vec::new();
-        for (i, f) in cf.flows.iter().enumerate() {
-            if f.release <= epoch && remaining[j][i] > 1e-9 {
-                flows.push(Flow::new(f.src, f.dst, remaining[j][i]));
-                idx_row.push((j, i));
-                match routing {
-                    Routing::SinglePath(p) => srow.push(p[j][i].clone()),
-                    Routing::MultiPath(p) => mrow.push(p[j][i].clone()),
-                    Routing::FreePath => {}
-                }
-            }
-        }
-        if flows.is_empty() {
-            continue;
-        }
-        coflows.push(Coflow::weighted(cf.weight, flows));
-        index.push(idx_row);
-        single_tmp.push(srow);
-        multi_tmp.push(mrow);
-    }
-    if coflows.is_empty() {
-        return None;
-    }
-    let sub_routing = match routing {
-        Routing::SinglePath(_) => Routing::SinglePath(single_tmp),
-        Routing::MultiPath(_) => Routing::MultiPath(multi_tmp),
-        Routing::FreePath => Routing::FreePath,
-    };
-    let sub_inst = CoflowInstance::new(inst.graph.clone(), coflows)
-        .expect("residual of a valid instance is valid");
-    Some((sub_inst, sub_routing, index))
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::model::{Coflow, Flow};
     use crate::solver::{Algorithm, Scheduler};
     use crate::validate::{validate, Tolerance};
     use coflow_netgraph::topology;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    fn staggered_instance(seed: u64, releases: &[u32]) -> CoflowInstance {
+    /// One single-flow coflow per release on a 5×-capacity SWAN, with
+    /// seeded random endpoints, weights and demands.
+    pub(crate) fn staggered_instance(seed: u64, releases: &[u32]) -> CoflowInstance {
         let topo = topology::swan().scale_capacity(5.0);
         let g = topo.graph;
         let nodes: Vec<_> = g.nodes().collect();

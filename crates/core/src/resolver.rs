@@ -199,6 +199,11 @@ impl<'a> TimeIndexedResolver<'a> {
         &self.inst
     }
 
+    /// The routing the model is built under.
+    pub fn routing(&self) -> &Routing {
+        &self.routing
+    }
+
     /// The global horizon `T` the model is built over.
     pub fn horizon(&self) -> u32 {
         self.horizon

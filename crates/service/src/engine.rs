@@ -2,26 +2,28 @@
 //!
 //! A [`TenantEngine`] is the long-lived scheduling state of one tenant
 //! fabric inside the daemon: it accepts coflow arrivals one at a time
-//! ([`admit`](TenantEngine::admit)), batches them into epochs, keeps a
-//! warm [`TimeIndexedResolver`] alive across those epochs (one per
-//! port-group shard), and streams back per-epoch reports. Calling
+//! ([`admit`](TenantEngine::admit)), batches them into epochs, keeps one
+//! warm [`EpochDriver`] alive across those epochs per port-group shard,
+//! and streams back per-epoch reports. Calling
 //! [`finish`](TenantEngine::finish) after the last arrival runs the
 //! remaining epochs to completion, merges the shard schedules, and
 //! re-validates the merged schedule against the full unsharded
 //! instance.
 //!
-//! Two epoch policies mirror the two offline-to-online frameworks in
-//! `coflow-core`:
+//! The engine is an arrival policy over `coflow_core::epoch`: the epoch
+//! body itself (activation, solve with horizon growth, λ=1 heuristic,
+//! execution, freezing) is the driver's, shared with the batch entry
+//! points. Two policies decide when it runs:
 //!
-//! * [`EpochPolicy::Event`] replays `coflow_core::online`'s
-//!   arrival-epoch loop — an epoch per distinct release, window closed
-//!   by the next arrival. With a single shard and a
-//!   [`horizon_hint`](EngineConfig::horizon_hint) matching the batch
-//!   run's initial horizon, the engine builds bitwise-identical LPs and
-//!   reproduces `online_heuristic_with`'s epoch objectives exactly (the
-//!   determinism test pins this to 1e-6).
-//! * [`EpochPolicy::Doubling`] replays `coflow_core::flowtime`'s
-//!   doubling-batch framework: arrivals buffer until their
+//! * [`EpochPolicy::Event`] calls
+//!   [`EpochDriver::event_epoch`] like `coflow_core::online` — an epoch
+//!   per distinct release, window closed by the next arrival. With a
+//!   single shard and a [`horizon_hint`](EngineConfig::horizon_hint)
+//!   matching the batch run's initial horizon, the engine builds
+//!   bitwise-identical LPs and reproduces `online_heuristic_with`'s
+//!   epoch objectives exactly (the determinism test pins this to 1e-6).
+//! * [`EpochPolicy::Doubling`] calls [`EpochDriver::batch`] like
+//!   `coflow_core::flowtime`: arrivals buffer until their
 //!   [`doubling_boundary`] passes, then the whole batch dispatches
 //!   after the committed work.
 //!
@@ -32,29 +34,24 @@
 //! admitted at the frontier instead (time does not rewind).
 
 use crate::shard::{mapper_shares, shard_fabric, Partition, ShardSplit};
+use coflow_core::epoch::{EpochDriver, EpochStep};
 use coflow_core::flowtime::doubling_boundary;
-use coflow_core::heuristic::lp_heuristic;
 use coflow_core::horizon::{horizon, HorizonMode};
 use coflow_core::model::{Coflow, CoflowInstance, Flow};
-use coflow_core::online::{build_residual, residual_plan};
 use coflow_core::resolver::TimeIndexedResolver;
 use coflow_core::routing::Routing;
 use coflow_core::schedule::{Schedule, SlotTransfer};
-use coflow_core::stretch::StretchOptions;
 use coflow_core::validate::{validate, Tolerance};
 use coflow_core::CoflowError;
 use coflow_lp::{SolveStats, SolverOptions};
+use coflow_netgraph::EdgeId;
 use coflow_runtime::Runtime;
-use std::collections::BTreeSet;
-use std::sync::Mutex;
+use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
 
 /// One shard's slice of an admitted coflow: the flows it hosts plus
 /// their indices in the original flow list (for rate-plan relabeling).
 type ShardSlice = (Vec<(usize, usize, f64)>, Vec<usize>);
-
-/// A per-core result slot for the fan-out in [`TenantEngine::on_cores_indexed`].
-type CoreSlot = Mutex<Option<Result<Option<CoreEpochResult>, CoflowError>>>;
 
 /// How arrivals are grouped into re-solve epochs.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -186,7 +183,7 @@ pub struct EpochReport {
 }
 
 /// Final accounting returned by [`TenantEngine::finish`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ServiceOutcome {
     /// Coflows admitted.
     pub admitted: usize,
@@ -310,56 +307,32 @@ struct CoreCursor {
     sched: Vec<Vec<usize>>,
 }
 
-/// One shard's persistent scheduling state: a gadgeted switch graph, an
-/// owned warm resolver over the coflows (or parts of coflows) landing
-/// in this shard, and the execution bookkeeping of the epoch loop.
+/// One shard's persistent scheduling state: a gadgeted switch graph and
+/// the coflows (or parts of coflows) landing in this shard.
 struct EpochCore {
     graph: coflow_netgraph::Graph,
     /// Inner gadget node per port-side node id (`inner[v]`).
     inner: Vec<coflow_netgraph::NodeId>,
     num_ports: usize,
-    /// Coflows admitted to this shard before the resolver exists.
-    staged: Vec<Coflow>,
-    resolver: Option<TimeIndexedResolver<'static>>,
-    remaining: Vec<Vec<f64>>,
-    schedule: Schedule,
-    epoch_objectives: Vec<f64>,
-    cold_iterations: usize,
-    lp_stats: SolveStats,
-    rebuilds: usize,
-    committed_end: u32,
-    warm: bool,
-    last_was_warm: bool,
+    state: CoreState,
 }
 
-/// A shard solve's per-epoch result, merged by the engine.
-struct CoreEpochResult {
-    objective: f64,
-    iterations: usize,
-    warm: bool,
-    cold_iterations: Option<usize>,
-    /// `(local coflow, global slot, volume)` executed this window.
-    executed: Vec<(usize, u32, f64)>,
+/// A shard core before and after its first dispatch.
+enum CoreState {
+    /// Coflows admitted before the first dispatch sizes the horizon.
+    Staged(Vec<Coflow>),
+    /// The epoch driver over an owned resolver of everything admitted.
+    Live(Box<EpochDriver<'static>>),
 }
 
 impl EpochCore {
-    fn new(num_ports: usize, egress_share: &[f64], warm: bool) -> EpochCore {
+    fn new(num_ports: usize, egress_share: &[f64]) -> EpochCore {
         let gg = shard_fabric(num_ports, egress_share);
         EpochCore {
             graph: gg.graph,
             inner: gg.inner,
             num_ports,
-            staged: Vec::new(),
-            resolver: None,
-            remaining: Vec::new(),
-            schedule: Schedule::default(),
-            epoch_objectives: Vec::new(),
-            cold_iterations: 0,
-            lp_stats: SolveStats::default(),
-            rebuilds: 0,
-            committed_end: 0,
-            warm,
-            last_was_warm: false,
+            state: CoreState::Staged(Vec::new()),
         }
     }
 
@@ -380,84 +353,54 @@ impl EpochCore {
 
     /// Admits one (sub-)coflow, returning its local index.
     fn admit(&mut self, cf: Coflow) -> Result<usize, CoflowError> {
-        self.remaining
-            .push(cf.flows.iter().map(|f| f.demand).collect());
-        self.schedule.flows.push(vec![Vec::new(); cf.flows.len()]);
-        match &mut self.resolver {
-            None => {
-                self.staged.push(cf);
-                Ok(self.staged.len() - 1)
+        match &mut self.state {
+            CoreState::Staged(staged) => {
+                staged.push(cf);
+                Ok(staged.len() - 1)
             }
-            Some(r) => r.push_coflow(cf),
+            CoreState::Live(driver) => driver.admit(cf),
         }
     }
 
-    /// Builds the resolver lazily over everything admitted so far.
-    fn ensure_resolver(&mut self, horizon_hint: Option<u32>) -> Result<(), CoflowError> {
-        if self.resolver.is_some() {
-            return Ok(());
+    fn driver(&self) -> Option<&EpochDriver<'static>> {
+        match &self.state {
+            CoreState::Live(driver) => Some(driver),
+            CoreState::Staged(_) => None,
         }
-        let staged = std::mem::take(&mut self.staged);
-        let inst = CoflowInstance::new(self.graph.clone(), staged)?;
-        let t0 = match horizon_hint {
-            Some(t) => t,
-            None => horizon(
-                &inst,
-                &Routing::FreePath,
-                HorizonMode::Greedy { margin: 1.25 },
-            )?,
+    }
+
+    fn driver_mut(&mut self) -> Option<&mut EpochDriver<'static>> {
+        match &mut self.state {
+            CoreState::Live(driver) => Some(driver),
+            CoreState::Staged(_) => None,
+        }
+    }
+
+    /// Builds the epoch driver over everything staged (a no-op once
+    /// live), at horizon `t0` or, when `None`, the greedy estimate.
+    fn go_live(&mut self, t0: Option<u32>, config: &EngineConfig) -> Result<(), CoflowError> {
+        let CoreState::Staged(staged) = &mut self.state else {
+            return Ok(());
         };
-        self.resolver = Some(TimeIndexedResolver::new_owned(
-            inst,
-            Routing::FreePath,
-            t0,
-            self.warm,
-        )?);
+        let inst = CoflowInstance::new(self.graph.clone(), std::mem::take(staged))?;
+        let t0 = match t0 {
+            Some(t) => t,
+            None => horizon(&inst, &Routing::FreePath, HorizonMode::default())?,
+        };
+        let resolver = TimeIndexedResolver::new_owned(inst, Routing::FreePath, t0, config.warm)?;
+        self.state = CoreState::Live(Box::new(EpochDriver::new(
+            resolver,
+            config.lp.clone(),
+            config.shadow_cold,
+        )));
         Ok(())
     }
 
-    fn inst(&self) -> &CoflowInstance {
-        self.resolver
-            .as_ref()
-            .expect("resolver built before epoch runs")
-            .instance()
-    }
-
-    /// Solves the current model, growing the horizon on infeasibility —
-    /// the shared solve loop of both core frameworks.
-    fn solve_growing(
-        &mut self,
-        lp_opts: &SolverOptions,
-    ) -> Result<coflow_core::timeidx::LpRelaxation, CoflowError> {
-        let mut grow_budget = 8;
-        let resolver = self.resolver.as_mut().expect("resolver built");
-        loop {
-            match resolver.solve(lp_opts)? {
-                Some(lp) => {
-                    self.last_was_warm = resolver.last_was_warm();
-                    return Ok(lp);
-                }
-                None => {
-                    self.rebuilds += 1;
-                    grow_budget -= 1;
-                    if grow_budget == 0 {
-                        return Err(CoflowError::Lp(
-                            "service resolver: horizon growth did not restore feasibility".into(),
-                        ));
-                    }
-                    let grown = ((resolver.horizon() as f64) * 1.5).ceil() as u32 + 1;
-                    resolver.rebuild(grown)?;
-                }
-            }
-        }
-    }
-
-    /// Reinstates this core from journaled logs: build the resolver at
-    /// the journaled horizon, replay the activation/fix logs with ONE
-    /// model rebuild (no solves — this is why recovery is an order of
+    /// Reinstates this core from journaled logs: go live at the
+    /// journaled horizon, replay the activation/fix logs with ONE model
+    /// rebuild (no solves — this is why recovery is an order of
     /// magnitude cheaper than re-running every epoch), then replay the
-    /// executed transfers into `remaining`/`schedule` with the same
-    /// arithmetic the live epoch loop used.
+    /// executed transfers with the live epoch loop's arithmetic.
     ///
     /// Every journal-sourced index is validated here: the resolver
     /// replays its logs with plain indexing, so a corrupt journal must
@@ -467,24 +410,25 @@ impl EpochCore {
         delta: CoreDelta,
         horizon: u32,
         committed_end: u32,
+        config: &EngineConfig,
     ) -> Result<(), CoflowError> {
         let bad = |what: String| Err(CoflowError::BadInstance(format!("journal: {what}")));
+        let CoreState::Staged(staged) = &self.state else {
+            return bad("shard restored twice".into());
+        };
         if horizon == 0 {
             if !(delta.activations.is_empty()
                 && delta.fixes.is_empty()
                 && delta.objectives.is_empty()
-                && delta.transfers.is_empty())
+                && delta.transfers.is_empty()
+                && committed_end == 0)
             {
                 return bad("shard events logged before its resolver existed".into());
             }
-            self.committed_end = committed_end;
             return Ok(());
         }
-        let mut starts: Vec<Vec<Option<u32>>> = self
-            .staged
-            .iter()
-            .map(|cf| vec![None; cf.flows.len()])
-            .collect();
+        let mut starts: Vec<Vec<Option<u32>>> =
+            staged.iter().map(|cf| vec![None; cf.flows.len()]).collect();
         for &(j, i, slot) in &delta.activations {
             match starts.get_mut(j).and_then(|row| row.get_mut(i)) {
                 Some(s) if (1..=horizon).contains(&slot) => *s = Some(slot),
@@ -504,10 +448,7 @@ impl EpochCore {
         }
         let edge_count = self.graph.edge_count();
         for tr in &delta.transfers {
-            let in_range = self
-                .remaining
-                .get(tr.coflow)
-                .is_some_and(|row| tr.flow < row.len())
+            let in_range = starts.get(tr.coflow).is_some_and(|row| tr.flow < row.len())
                 && tr.volume.is_finite()
                 && tr.volume >= 0.0
                 && tr
@@ -525,26 +466,24 @@ impl EpochCore {
             return bad("non-finite epoch objective".into());
         }
 
-        self.ensure_resolver(Some(horizon))?;
-        let resolver = self.resolver.as_mut().expect("resolver just built");
-        resolver.restore_logs(delta.activations, delta.fixes);
-        resolver.rebuild(horizon)?;
-        self.epoch_objectives = delta.objectives;
-        self.committed_end = committed_end;
+        self.go_live(Some(horizon), config)?;
+        let Some(driver) = self.driver_mut() else {
+            return bad("shard did not go live".into());
+        };
+        driver.restore(
+            delta.activations,
+            delta.fixes,
+            delta.objectives,
+            committed_end,
+        )?;
         for tr in delta.transfers {
-            self.remaining[tr.coflow][tr.flow] -= tr.volume;
-            if self.remaining[tr.coflow][tr.flow] < 1e-9 {
-                self.remaining[tr.coflow][tr.flow] = 0.0;
-            }
-            self.schedule.flows[tr.coflow][tr.flow].push(SlotTransfer {
+            let edges = tr.edges.iter().map(|&(e, v)| (EdgeId::from_index(e), v));
+            let st = SlotTransfer {
                 slot: tr.slot,
                 volume: tr.volume,
-                edges: tr
-                    .edges
-                    .into_iter()
-                    .map(|(e, v)| (coflow_netgraph::EdgeId::from_index(e), v))
-                    .collect(),
-            });
+                edges: edges.collect(),
+            };
+            driver.replay_transfer(tr.coflow, tr.flow, st);
         }
         Ok(())
     }
@@ -552,23 +491,25 @@ impl EpochCore {
     /// Appends this core's undrained log suffixes to `delta`, advancing
     /// `cursor`.
     fn drain_into(&self, cursor: &mut CoreCursor, delta: &mut CoreDelta) {
-        if let Some(r) = &self.resolver {
-            delta
-                .activations
-                .extend_from_slice(&r.activations()[cursor.acts..]);
-            cursor.acts = r.activations().len();
-            delta.fixes.extend_from_slice(&r.fixes()[cursor.fixes..]);
-            cursor.fixes = r.fixes().len();
-        }
+        let Some(driver) = self.driver() else {
+            return; // nothing logged before going live
+        };
+        let r = driver.resolver();
+        delta
+            .activations
+            .extend_from_slice(&r.activations()[cursor.acts..]);
+        cursor.acts = r.activations().len();
+        delta.fixes.extend_from_slice(&r.fixes()[cursor.fixes..]);
+        cursor.fixes = r.fixes().len();
+        let objectives = driver.epoch_objectives();
         delta
             .objectives
-            .extend_from_slice(&self.epoch_objectives[cursor.objs..]);
-        cursor.objs = self.epoch_objectives.len();
-        while cursor.sched.len() < self.schedule.flows.len() {
-            let j = cursor.sched.len();
-            cursor.sched.push(vec![0; self.schedule.flows[j].len()]);
-        }
-        for (j, row) in self.schedule.flows.iter().enumerate() {
+            .extend_from_slice(&objectives[cursor.objs..]);
+        cursor.objs = objectives.len();
+        for (j, row) in driver.schedule().flows.iter().enumerate() {
+            if cursor.sched.len() == j {
+                cursor.sched.push(vec![0; row.len()]);
+            }
             for (i, fl) in row.iter().enumerate() {
                 let seen = &mut cursor.sched[j][i];
                 // `finish` merges shard schedules by *taking* these
@@ -591,227 +532,6 @@ impl EpochCore {
                 *seen = fl.len();
             }
         }
-    }
-
-    /// The event-policy epoch body — `coflow_core::online`'s loop over
-    /// one epoch: activate this epoch's arrivals, re-solve, follow the
-    /// λ=1 heuristic until `window_end` (exclusive of later slots), and
-    /// freeze the window in the persistent LP. `window_end = None`
-    /// means run to completion (the final epoch).
-    fn run_event_epoch(
-        &mut self,
-        epoch: u32,
-        window_end: Option<u32>,
-        lp_opts: &SolverOptions,
-        shadow_cold: bool,
-    ) -> Result<Option<CoreEpochResult>, CoflowError> {
-        // Reveal this epoch's arrivals to the persistent LP.
-        let activations: Vec<(usize, usize)> = self
-            .inst()
-            .flows()
-            .filter(|(_, f)| f.release == epoch)
-            .map(|(key, _)| (key.coflow as usize, key.flow as usize))
-            .collect();
-        {
-            let resolver = self.resolver.as_mut().expect("resolver built");
-            if !activations.is_empty() && epoch + 1 > resolver.horizon() {
-                let grown = (epoch + 1).max(((resolver.horizon() as f64) * 1.5).ceil() as u32);
-                self.rebuilds += 1;
-                resolver.rebuild(grown)?;
-            }
-            let resolver = self.resolver.as_mut().expect("resolver built");
-            for &(j, i) in &activations {
-                resolver.activate_flow(j, i, epoch + 1)?;
-            }
-        }
-        let sub = build_residual(self.inst(), &Routing::FreePath, &self.remaining, epoch);
-        let Some((sub_inst, _sub_routing, index)) = sub else {
-            return Ok(None); // nothing pending at this epoch
-        };
-        let lp = self.solve_growing(lp_opts)?;
-        self.lp_stats.merge(&lp.stats);
-        self.epoch_objectives.push(lp.objective);
-        let cold = if shadow_cold {
-            let resolver = self.resolver.as_ref().expect("resolver built");
-            let (_, iters) = resolver
-                .probe_cold(lp_opts)?
-                .expect("warm-feasible model is cold-feasible");
-            self.cold_iterations += iters;
-            Some(iters)
-        } else {
-            None
-        };
-
-        // Local residual plan → λ=1 heuristic, exactly as online.rs.
-        let sub_plan = residual_plan(&lp.plan, &index, epoch);
-        let plan = lp_heuristic(&sub_inst, &sub_plan, StretchOptions::default());
-
-        let window = match window_end {
-            Some(next) => next - epoch,
-            None => u32::MAX,
-        };
-        let mut executed: std::collections::BTreeMap<(usize, usize, u32), f64> =
-            std::collections::BTreeMap::new();
-        let mut per_coflow: std::collections::BTreeMap<(usize, u32), f64> =
-            std::collections::BTreeMap::new();
-        for (sj, row) in plan.flows.iter().enumerate() {
-            for (si, fl) in row.iter().enumerate() {
-                let (j, i) = index[sj][si];
-                for st in fl {
-                    if st.slot > window {
-                        continue; // superseded by the next re-solve
-                    }
-                    let global_slot = epoch + st.slot;
-                    self.remaining[j][i] -= st.volume;
-                    if self.remaining[j][i] < 1e-9 {
-                        self.remaining[j][i] = 0.0;
-                    }
-                    *executed.entry((j, i, global_slot)).or_insert(0.0) += st.volume;
-                    *per_coflow.entry((j, global_slot)).or_insert(0.0) += st.volume;
-                    self.schedule.flows[j][i].push(SlotTransfer {
-                        slot: global_slot,
-                        volume: st.volume,
-                        edges: st.edges.clone(),
-                    });
-                }
-            }
-        }
-        if let Some(next_epoch) = window_end {
-            let resolver = self.resolver.as_mut().expect("resolver built");
-            let horizon_now = resolver.horizon();
-            for idx_row in &index {
-                for &(j, i) in idx_row {
-                    let demand = self.inst().coflows[j].flows[i].demand;
-                    let resolver = self.resolver.as_mut().expect("resolver built");
-                    for slot in epoch + 1..=next_epoch.min(horizon_now) {
-                        let vol = executed.get(&(j, i, slot)).copied().unwrap_or(0.0);
-                        resolver.fix_slot(j, i, slot, vol / demand);
-                    }
-                }
-            }
-        }
-        Ok(Some(CoreEpochResult {
-            objective: lp.objective,
-            iterations: lp.lp_iterations,
-            warm: self.last_was_warm,
-            cold_iterations: cold,
-            executed: per_coflow
-                .into_iter()
-                .map(|((j, slot), vol)| (j, slot, vol))
-                .collect(),
-        }))
-    }
-
-    /// The doubling-policy batch body — `coflow_core::flowtime`'s loop
-    /// over one batch: size the batch horizon, append after the
-    /// committed work, solve, and freeze the whole batch schedule.
-    fn run_doubling_batch(
-        &mut self,
-        boundary: u32,
-        members: &[usize],
-        lp_opts: &SolverOptions,
-        shadow_cold: bool,
-    ) -> Result<Option<CoreEpochResult>, CoflowError> {
-        if members.is_empty() {
-            return Ok(None);
-        }
-        // The batch re-plans from scratch at its dispatch slot.
-        let sub_coflows: Vec<Coflow> = members
-            .iter()
-            .map(|&j| {
-                let cf = &self.inst().coflows[j];
-                Coflow::weighted(
-                    cf.weight,
-                    cf.flows
-                        .iter()
-                        .map(|f| Flow::new(f.src, f.dst, f.demand))
-                        .collect(),
-                )
-            })
-            .collect();
-        let sub_inst = CoflowInstance::new(self.graph.clone(), sub_coflows)
-            .expect("batch of a valid instance is valid");
-        let t_batch = horizon(
-            &sub_inst,
-            &Routing::FreePath,
-            HorizonMode::Greedy { margin: 1.25 },
-        )?;
-        let start = boundary.max(self.committed_end);
-        let needed = start + t_batch;
-        {
-            let resolver = self.resolver.as_mut().expect("resolver built");
-            if needed > resolver.horizon() {
-                let grown = needed.max(((resolver.horizon() as f64) * 1.5).ceil() as u32);
-                self.rebuilds += 1;
-                resolver.rebuild(grown)?;
-            }
-            let resolver = self.resolver.as_mut().expect("resolver built");
-            for &j in members {
-                for i in 0..resolver.instance().coflows[j].flows.len() {
-                    resolver.activate_flow(j, i, start + 1)?;
-                }
-            }
-        }
-        let lp = self.solve_growing(lp_opts)?;
-        self.lp_stats.merge(&lp.stats);
-        self.epoch_objectives.push(lp.objective);
-        let cold = if shadow_cold {
-            let resolver = self.resolver.as_ref().expect("resolver built");
-            let (_, iters) = resolver
-                .probe_cold(lp_opts)?
-                .expect("warm-feasible model is cold-feasible");
-            self.cold_iterations += iters;
-            Some(iters)
-        } else {
-            None
-        };
-
-        // Batch-local plan: the batch's flows, shifted to its timeline.
-        let s0 = start as f64;
-        let sub_plan = coflow_core::rateplan::RatePlan {
-            flows: members
-                .iter()
-                .map(|&j| lp.plan.flows[j].iter().map(|fp| fp.tail_from(s0)).collect())
-                .collect(),
-        };
-        let plan = lp_heuristic(&sub_inst, &sub_plan, StretchOptions::default());
-
-        let mut batch_end = start;
-        let mut per_coflow: std::collections::BTreeMap<(usize, u32), f64> =
-            std::collections::BTreeMap::new();
-        for (sj, row) in plan.flows.iter().enumerate() {
-            let j = members[sj];
-            for (i, fl) in row.iter().enumerate() {
-                let demand = self.inst().coflows[j].flows[i].demand;
-                for st in fl {
-                    let slot = start + st.slot;
-                    batch_end = batch_end.max(slot);
-                    self.remaining[j][i] -= st.volume;
-                    if self.remaining[j][i] < 1e-9 {
-                        self.remaining[j][i] = 0.0;
-                    }
-                    let resolver = self.resolver.as_mut().expect("resolver built");
-                    resolver.fix_slot(j, i, slot, st.volume / demand);
-                    *per_coflow.entry((j, slot)).or_insert(0.0) += st.volume;
-                    self.schedule.flows[j][i].push(SlotTransfer {
-                        slot,
-                        volume: st.volume,
-                        edges: st.edges.clone(),
-                    });
-                }
-            }
-        }
-        self.committed_end = batch_end;
-        Ok(Some(CoreEpochResult {
-            objective: lp.objective,
-            iterations: lp.lp_iterations,
-            warm: self.last_was_warm,
-            cold_iterations: cold,
-            executed: per_coflow
-                .into_iter()
-                .map(|((j, slot), vol)| (j, slot, vol))
-                .collect(),
-        }))
     }
 }
 
@@ -923,15 +643,9 @@ impl TenantEngine {
     /// Snapshot of the engine-level mutable state for a journal `STATE`
     /// line.
     pub fn state(&self) -> EngineState {
-        let (horizons, committed) = match &self.cores {
-            None => (Vec::new(), Vec::new()),
-            Some(cores) => (
-                cores
-                    .iter()
-                    .map(|c| c.resolver.as_ref().map_or(0, |r| r.horizon()))
-                    .collect(),
-                cores.iter().map(|c| c.committed_end).collect(),
-            ),
+        let drivers = || {
+            let cores = self.cores.as_deref().unwrap_or_default();
+            cores.iter().map(EpochCore::driver)
         };
         EngineState {
             frontier: self.frontier,
@@ -940,8 +654,12 @@ impl TenantEngine {
             open_batch: self.open_batch.clone(),
             epochs_run: self.epochs_run,
             resolves: self.resolves,
-            horizons,
-            committed,
+            horizons: drivers()
+                .map(|d| d.map_or(0, |d| d.resolver().horizon()))
+                .collect(),
+            committed: drivers()
+                .map(|d| d.map_or(0, EpochDriver::committed_end))
+                .collect(),
         }
     }
 
@@ -1035,21 +753,12 @@ impl TenantEngine {
                         "journal: more shard records than shards".into(),
                     ));
                 }
-                eng.cores = Some(
-                    shares
-                        .iter()
-                        .map(|row| EpochCore::new(num_ports, row, eng.config.warm))
-                        .collect(),
-                );
-                eng.egress_shares = Some(shares);
-                for a in std::mem::take(&mut eng.waiting) {
-                    eng.place(a)?;
-                }
-                let cores = eng.cores.as_mut().expect("cores just created");
-                for (g, delta) in deltas.into_iter().enumerate() {
+                eng.install_cores(shares)?;
+                let cores = eng.cores.iter_mut().flatten();
+                for (g, (core, delta)) in cores.zip(deltas).enumerate() {
                     let horizon = state.horizons.get(g).copied().unwrap_or(0);
                     let committed = state.committed.get(g).copied().unwrap_or(0);
-                    cores[g].restore(delta, horizon, committed)?;
+                    core.restore(delta, horizon, committed, &eng.config)?;
                 }
             }
         }
@@ -1146,36 +855,20 @@ impl TenantEngine {
         }
 
         // ---- Coordinator: merge, reconcile, validate. ----
-        let cores = match &mut self.cores {
-            Some(cores) => cores,
-            None => {
-                // No work was ever dispatched (zero admissions).
-                return Ok(ServiceOutcome {
-                    admitted: self.admitted.len(),
-                    objective: 0.0,
-                    completions: Vec::new(),
-                    epochs: 0,
-                    lp_iterations: 0,
-                    cold_iterations: self.config.shadow_cold.then_some(0),
-                    resolves: 0,
-                    rebuilds: 0,
-                    lp_stats: SolveStats::default(),
-                    peak_utilization: 0.0,
-                    epoch_objectives: Vec::new(),
-                    deadline_total: 0,
-                    deadline_missed: 0,
-                });
-            }
+        let Some(cores) = &mut self.cores else {
+            // No work was ever dispatched (zero admissions).
+            return Ok(ServiceOutcome {
+                admitted: self.admitted.len(),
+                cold_iterations: self.config.shadow_cold.then_some(0),
+                ..ServiceOutcome::default()
+            });
         };
+        // A core still staged never ran; validation below catches it.
         for (g, core) in cores.iter().enumerate() {
-            for (j, row) in core.remaining.iter().enumerate() {
-                for (i, &r) in row.iter().enumerate() {
-                    if r > 1e-6 {
-                        return Err(CoflowError::InvalidSchedule(format!(
-                            "shard {g} left flow ({j},{i}) with {r} unmoved"
-                        )));
-                    }
-                }
+            if let Some((j, i, r)) = core.driver().and_then(EpochDriver::unmoved) {
+                return Err(CoflowError::InvalidSchedule(format!(
+                    "shard {g} left flow ({j},{i}) with {r} unmoved"
+                )));
             }
         }
 
@@ -1207,11 +900,11 @@ impl TenantEngine {
         };
         for (a, parts) in self.placement.iter().enumerate() {
             for &(g, local_j, ref orig) in parts {
-                let core = &mut cores[g];
+                let Some(driver) = cores[g].driver_mut() else {
+                    continue;
+                };
                 for (local_i, &i) in orig.iter().enumerate() {
-                    let fl = &mut core.schedule.flows[local_j][local_i];
-                    fl.sort_by_key(|st| st.slot);
-                    merged.flows[a][i] = std::mem::take(fl);
+                    merged.flows[a][i] = driver.take_transfers(local_j, local_i);
                 }
             }
         }
@@ -1230,24 +923,15 @@ impl TenantEngine {
         let mut cold_iterations = 0;
         let mut rebuilds = 0;
         let mut lp_stats = SolveStats::default();
-        for core in cores.iter() {
-            lp_iterations += core
-                .resolver
-                .as_ref()
-                .map(|r| r.total_iterations())
-                .unwrap_or(0);
-            cold_iterations += core.cold_iterations;
-            rebuilds += core.rebuilds;
-            lp_stats.merge(&core.lp_stats);
-            if epoch_objectives.is_empty() {
-                epoch_objectives = core.epoch_objectives.clone();
-            } else {
-                for (k, &o) in core.epoch_objectives.iter().enumerate() {
-                    if k < epoch_objectives.len() {
-                        epoch_objectives[k] += o;
-                    } else {
-                        epoch_objectives.push(o);
-                    }
+        for driver in cores.iter().filter_map(EpochCore::driver) {
+            lp_iterations += driver.resolver().total_iterations();
+            cold_iterations += driver.cold_iterations();
+            rebuilds += driver.rebuilds();
+            lp_stats.merge(&driver.lp_stats());
+            for (k, &o) in driver.epoch_objectives().iter().enumerate() {
+                match epoch_objectives.get_mut(k) {
+                    Some(sum) => *sum += o,
+                    None => epoch_objectives.push(o),
                 }
             }
         }
@@ -1341,12 +1025,14 @@ impl TenantEngine {
             self.config.split,
             self.admitted.iter().flat_map(|pc| pc.flows.iter().copied()),
         );
-        self.cores = Some(
-            shares
-                .iter()
-                .map(|row| EpochCore::new(self.num_ports, row, self.config.warm))
-                .collect(),
-        );
+        self.install_cores(shares)
+    }
+
+    /// Creates the shard cores over the given per-shard egress shares
+    /// and places everything that was waiting on them.
+    fn install_cores(&mut self, shares: Vec<Vec<f64>>) -> Result<(), CoflowError> {
+        let cores = shares.iter().map(|row| EpochCore::new(self.num_ports, row));
+        self.cores = Some(cores.collect());
         self.egress_shares = Some(shares);
         for a in std::mem::take(&mut self.waiting) {
             self.place(a)?;
@@ -1354,8 +1040,7 @@ impl TenantEngine {
         Ok(())
     }
 
-    /// Runs one event-policy epoch across all shard cores (in parallel
-    /// when sharded) and folds the results into one [`EpochReport`].
+    /// Runs one event-policy epoch across all shard cores.
     fn run_event_epoch(
         &mut self,
         rt: &Runtime,
@@ -1365,16 +1050,7 @@ impl TenantEngine {
         self.ensure_cores()?;
         self.pending_epochs.remove(&epoch);
         self.frontier = Some(self.frontier.map_or(epoch, |f| f.max(epoch)));
-        let hint = self.config.horizon_hint;
-        let lp = self.config.lp.clone();
-        let shadow = self.config.shadow_cold;
-        let started = Instant::now();
-        let results = self.on_cores(rt, move |core| {
-            core.ensure_resolver(hint)?;
-            core.run_event_epoch(epoch, window_end, &lp, shadow)
-        })?;
-        self.fold_report(epoch, started, results);
-        Ok(())
+        self.dispatch(rt, epoch, |_, d| d.event_epoch(epoch, window_end))
     }
 
     /// Dispatches the open doubling batch (if any) across all cores.
@@ -1383,125 +1059,75 @@ impl TenantEngine {
             return Ok(());
         }
         self.ensure_cores()?;
-        let boundary = self.open_boundary;
-        let members = std::mem::take(&mut self.open_batch);
         // Per-core member lists, in local coflow order.
-        let groups = self.partition.num_groups();
-        let mut local_members: Vec<Vec<usize>> = vec![Vec::new(); groups];
-        for &a in &members {
+        let mut local_members: Vec<Vec<usize>> = vec![Vec::new(); self.partition.num_groups()];
+        for a in std::mem::take(&mut self.open_batch) {
             for &(g, local_j, _) in &self.placement[a] {
                 local_members[g].push(local_j);
             }
         }
-        let hint = self.config.horizon_hint;
-        let lp = self.config.lp.clone();
-        let shadow = self.config.shadow_cold;
+        let boundary = self.open_boundary;
+        self.dispatch(rt, boundary, |g, d| d.batch(boundary, &local_members[g]))
+    }
+
+    /// Runs `step` on every shard core's driver (in parallel when
+    /// sharded; cores go live at their first dispatch) and folds the
+    /// results into one [`EpochReport`] for slot `at`. The cores must
+    /// exist.
+    fn dispatch<F>(&mut self, rt: &Runtime, at: u32, step: F) -> Result<(), CoflowError>
+    where
+        F: Fn(usize, &mut EpochDriver<'static>) -> Result<Option<EpochStep>, CoflowError> + Sync,
+    {
+        let config = &self.config;
         let started = Instant::now();
-        let local_ref = &local_members;
-        let results = self.on_cores_indexed(rt, move |g, core| {
-            core.ensure_resolver(hint)?;
-            core.run_doubling_batch(boundary, &local_ref[g], &lp, shadow)
+        let cores = self.cores.as_deref_mut().unwrap_or_default();
+        let results = on_cores(rt, cores, |g, core| {
+            core.go_live(config.horizon_hint, config)?;
+            core.driver_mut().map_or(Ok(None), |d| step(g, d))
         })?;
-        self.fold_report(boundary, started, results);
+        self.fold_report(at, started, results);
         Ok(())
-    }
-
-    /// Applies `f` to every core — inline when unsharded, fanned out on
-    /// the runtime when sharded (each shard's LP solve is independent).
-    fn on_cores<F>(
-        &mut self,
-        rt: &Runtime,
-        f: F,
-    ) -> Result<Vec<Option<CoreEpochResult>>, CoflowError>
-    where
-        F: Fn(&mut EpochCore) -> Result<Option<CoreEpochResult>, CoflowError> + Sync + Send,
-    {
-        self.on_cores_indexed(rt, move |_, core| f(core))
-    }
-
-    fn on_cores_indexed<F>(
-        &mut self,
-        rt: &Runtime,
-        f: F,
-    ) -> Result<Vec<Option<CoreEpochResult>>, CoflowError>
-    where
-        F: Fn(usize, &mut EpochCore) -> Result<Option<CoreEpochResult>, CoflowError> + Sync + Send,
-    {
-        let cores = self.cores.as_mut().expect("cores exist");
-        if cores.len() == 1 || rt.workers() == 1 {
-            let mut out = Vec::with_capacity(cores.len());
-            for (g, core) in cores.iter_mut().enumerate() {
-                out.push(f(g, core)?);
-            }
-            return Ok(out);
-        }
-        let slots: Vec<CoreSlot> = cores.iter().map(|_| Mutex::new(None)).collect();
-        let f_ref = &f;
-        rt.scope(|scope| {
-            for (g, (core, slot)) in cores.iter_mut().zip(&slots).enumerate() {
-                scope.spawn(move || {
-                    *slot.lock().expect("core slot") = Some(f_ref(g, core));
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|m| {
-                m.into_inner()
-                    .expect("core slot")
-                    .expect("every core task ran")
-            })
-            .collect()
     }
 
     /// Folds per-core epoch results into one report (skipped entirely
     /// when no core had pending work).
-    fn fold_report(&mut self, epoch: u32, started: Instant, results: Vec<Option<CoreEpochResult>>) {
-        let mut any = false;
-        let mut objective = 0.0;
-        let mut iterations = 0;
-        let mut warm = true;
-        let mut cold: Option<usize> = None;
-        let mut transfers: std::collections::BTreeMap<(usize, u32), f64> =
-            std::collections::BTreeMap::new();
-        // Map shard-local coflow indices back to admitted indices.
-        let mut local_to_admitted: Vec<std::collections::BTreeMap<usize, usize>> =
-            vec![std::collections::BTreeMap::new(); self.partition.num_groups()];
-        if self.config.emit_plans {
-            for (a, parts) in self.placement.iter().enumerate() {
-                for &(g, local_j, _) in parts {
-                    local_to_admitted[g].insert(local_j, a);
-                }
-            }
+    fn fold_report(&mut self, epoch: u32, started: Instant, results: Vec<Option<EpochStep>>) {
+        let steps: Vec<(usize, EpochStep)> = results
+            .into_iter()
+            .enumerate()
+            .filter_map(|(g, step)| Some((g, step?)))
+            .collect();
+        if steps.is_empty() {
+            return;
         }
-        for (g, res) in results.into_iter().enumerate() {
-            let Some(res) = res else { continue };
-            any = true;
-            self.resolves += 1;
-            objective += res.objective;
-            iterations += res.iterations;
-            warm &= res.warm;
-            if let Some(c) = res.cold_iterations {
-                *cold.get_or_insert(0) += c;
-            }
-            if self.config.emit_plans {
-                for (local_j, slot, vol) in res.executed {
-                    if let Some(&a) = local_to_admitted[g].get(&local_j) {
+        let mut transfers: BTreeMap<(usize, u32), f64> = BTreeMap::new();
+        if self.config.emit_plans {
+            // Shard-local coflow → admitted index.
+            let admitted_of: BTreeMap<(usize, usize), usize> = self
+                .placement
+                .iter()
+                .enumerate()
+                .flat_map(|(a, parts)| parts.iter().map(move |&(g, j, _)| ((g, j), a)))
+                .collect();
+            for (g, step) in &steps {
+                for &(local_j, slot, vol) in &step.executed {
+                    if let Some(&a) = admitted_of.get(&(*g, local_j)) {
                         *transfers.entry((a, slot)).or_insert(0.0) += vol;
                     }
                 }
             }
         }
-        if !any {
-            return;
-        }
+        self.resolves += steps.len();
         self.epochs_run += 1;
         self.reports.push(EpochReport {
             epoch,
-            objective,
-            iterations,
-            warm,
-            cold_iterations: cold,
+            objective: steps.iter().map(|(_, s)| s.objective).sum(),
+            iterations: steps.iter().map(|(_, s)| s.iterations).sum(),
+            warm: steps.iter().all(|(_, s)| s.warm),
+            cold_iterations: steps
+                .iter()
+                .filter_map(|(_, s)| s.cold_iterations)
+                .reduce(|a, b| a + b),
             wall_ms: started.elapsed().as_secs_f64() * 1e3,
             transfers: transfers
                 .into_iter()
@@ -1509,4 +1135,37 @@ impl TenantEngine {
                 .collect(),
         });
     }
+}
+
+/// Applies `f` to every core — inline when unsharded, fanned out on the
+/// runtime when sharded (each shard's LP solve is independent). Each
+/// task writes its own result slot; `Runtime::scope` re-raises a task
+/// panic, so every slot is filled once the scope returns.
+fn on_cores<F>(
+    rt: &Runtime,
+    cores: &mut [EpochCore],
+    f: F,
+) -> Result<Vec<Option<EpochStep>>, CoflowError>
+where
+    F: Fn(usize, &mut EpochCore) -> Result<Option<EpochStep>, CoflowError> + Sync,
+{
+    if cores.len() == 1 || rt.workers() == 1 {
+        return cores
+            .iter_mut()
+            .enumerate()
+            .map(|(g, core)| f(g, core))
+            .collect();
+    }
+    let mut slots: Vec<Option<Result<Option<EpochStep>, CoflowError>>> =
+        cores.iter().map(|_| None).collect();
+    let f = &f;
+    rt.scope(|scope| {
+        for (g, (core, slot)) in cores.iter_mut().zip(&mut slots).enumerate() {
+            scope.spawn(move || *slot = Some(f(g, core)));
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| slot.unwrap_or_else(|| Err(CoflowError::Lp("shard task did not run".into()))))
+        .collect()
 }

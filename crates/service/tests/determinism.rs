@@ -8,7 +8,9 @@
 //! the per-epoch LP models are built identically, so the objectives
 //! must match far tighter than LP tolerance (asserted at 1e-6), warm
 //! *and* cold. The doubling-policy engine likewise reproduces
-//! `interval_batch_online_with` when every coflow releases at 0.
+//! `interval_batch_online_with`, with every coflow released at 0 and
+//! with staggered releases. Started from a one-slot horizon, both
+//! policies grow it and still reach the unhinted objective.
 
 use coflow_core::horizon::{horizon, HorizonMode};
 use coflow_core::online::{online_heuristic_with, OnlineOptions};
@@ -168,6 +170,79 @@ fn doubling_stream_matches_batched_replay_at_zero_release() {
         "doubling objective diverged: service {} vs flowtime {batch_total}",
         outcome.objective
     );
+
+    // Staggered releases: several batches, each dispatched after the
+    // committed work, still reproduce the batch replay once the stream
+    // starts from the same horizon.
+    let opts = ReplayOptions::default();
+    let inst = trace.switch_instance(&opts).expect("switch instance");
+    let t0 = horizon(
+        &inst,
+        &Routing::FreePath,
+        HorizonMode::Greedy { margin: 1.25 },
+    )
+    .expect("greedy horizon");
+    let batch = coflow_core::flowtime::interval_batch_online_with(
+        &inst,
+        &Routing::FreePath,
+        &lp_opts,
+        true,
+    )
+    .expect("batched replay succeeds");
+    assert!(batch.batches > 1, "staggered releases span batches");
+    let outcome = stream_fb2010(
+        EngineConfig {
+            policy: EpochPolicy::Doubling,
+            horizon_hint: Some(t0),
+            ..EngineConfig::default()
+        },
+        false,
+    );
+    assert_eq!(outcome.epochs, batch.batches);
+    let batch_total = batch
+        .schedule
+        .completions(&inst)
+        .expect("batched schedule completes")
+        .weighted_total;
+    assert!(
+        (outcome.objective - batch_total).abs() < 1e-6,
+        "staggered doubling objective diverged: service {} vs flowtime {batch_total}",
+        outcome.objective
+    );
+}
+
+#[test]
+fn horizon_growth_reaches_the_unhinted_objective_on_both_policies() {
+    for policy in [EpochPolicy::Event, EpochPolicy::Doubling] {
+        let unhinted = stream_fb2010(
+            EngineConfig {
+                policy,
+                ..EngineConfig::default()
+            },
+            false,
+        );
+        // A one-slot horizon is far too short: the engine must grow it,
+        // both before activating past it and after infeasible solves.
+        // `finish` validated the merged schedule.
+        let grown = stream_fb2010(
+            EngineConfig {
+                policy,
+                horizon_hint: Some(1),
+                ..EngineConfig::default()
+            },
+            false,
+        );
+        assert!(
+            grown.rebuilds >= 1,
+            "{policy:?}: a one-slot horizon must be grown"
+        );
+        assert!(
+            (grown.objective - unhinted.objective).abs() < 1e-6,
+            "{policy:?}: grown {} vs unhinted {}",
+            grown.objective,
+            unhinted.objective
+        );
+    }
 }
 
 #[test]
