@@ -1,6 +1,7 @@
 //! The tracked performance harness: runs a pinned suite of
-//! warm-start-sensitive scenarios and emits `BENCH_PR10.json` — one
-//! point of the repo's performance trajectory.
+//! warm-start-sensitive scenarios and emits one JSON point of the repo's
+//! performance trajectory (`perf_report.json` by default; the committed
+//! points are `BENCH_PR<N>.json`).
 //!
 //! Scenarios (all deterministic given `--seed`):
 //!
@@ -64,7 +65,8 @@
 //! slowdowns — the thing this harness exists to catch — trip it).
 //!
 //! Usage: `perf_report [--quick] [--seed S] [--output PATH]
-//! [--compare OLD.json]`.
+//! [--compare OLD.json]`. An output named `BENCH_PR<N>.json` labels the
+//! emission `"pr": N`; any other name leaves the label out.
 
 use coflow_baselines::registry::{self, AlgoParams};
 use coflow_bench::runner::{compute_figures, online_ablation_spec, PointStats};
@@ -159,7 +161,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut quick = false;
     let mut seed = 1u64;
-    let mut output = String::from("BENCH_PR10.json");
+    let mut output = String::from("perf_report.json");
     let mut compare: Option<String> = None;
     let mut i = 0;
     while i < args.len() {
@@ -419,8 +421,9 @@ fn main() {
 
     // ---- Emit ----
     let body: Vec<String> = scenarios.iter().map(Scenario::json).collect();
+    let pr = pr_label(&output).map_or(String::new(), |n| format!("\n  \"pr\": {n},"));
     let json = format!(
-        "{{\n  \"suite\": \"coflow warm-start perf\",\n  \"pr\": 10,\n  \"quick\": {quick},\n  \
+        "{{\n  \"suite\": \"coflow warm-start perf\",{pr}\n  \"quick\": {quick},\n  \
          \"seed\": {seed},\n  \"scenarios\": [\n    {}\n  ]\n}}\n",
         body.join(",\n    ")
     );
@@ -1227,4 +1230,31 @@ fn ft_vs_eta(quick: bool, seed: u64) -> Vec<Scenario> {
         ],
     });
     out
+}
+
+/// The trajectory label of an output path: `N` for a file named
+/// `BENCH_PR<N>.json`, `None` for any other name.
+fn pr_label(output: &str) -> Option<u32> {
+    let name = std::path::Path::new(output).file_name()?.to_str()?;
+    let digits = name.strip_prefix("BENCH_PR")?.strip_suffix(".json")?;
+    if !digits.bytes().all(|b| b.is_ascii_digit()) {
+        return None;
+    }
+    digits.parse().ok()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::pr_label;
+
+    #[test]
+    fn pr_label_comes_from_a_bench_file_name() {
+        assert_eq!(pr_label("BENCH_PR42.json"), Some(42));
+        assert_eq!(pr_label("out/BENCH_PR7.json"), Some(7));
+        assert_eq!(pr_label("perf_report.json"), None);
+        assert_eq!(pr_label("BENCH_PR.json"), None);
+        assert_eq!(pr_label("BENCH_PR+3.json"), None);
+        assert_eq!(pr_label("BENCH_PR42.json.bak"), None);
+        assert_eq!(pr_label("BENCH_PR42_quick.json"), None);
+    }
 }

@@ -216,6 +216,15 @@ pub fn solve_warm(
     ))
 }
 
+/// The dual simplex's leaving row: basis position, violation, and
+/// whether the basic lies above its upper bound.
+#[derive(Clone, Copy)]
+struct LeavingRow {
+    pos: usize,
+    viol: f64,
+    to_upper: bool,
+}
+
 impl Simplex<'_> {
     /// Overwrites the all-slack crash basis with a snapshot, sanitizing
     /// statuses against bounds and repairing the basic-column count so a
@@ -353,7 +362,11 @@ impl Simplex<'_> {
         let dual_budget = 3 * self.sf.m + 1000;
         let mut retried = false;
         loop {
-            if self.max_infeasibility() <= self.opt.feas_tol {
+            // One pass over the infeasibility list decides the loop guard
+            // and picks the leaving row; only a refactorization (new basic
+            // values, reset row weights) makes the pick stale.
+            let (violated, mut leave) = self.leaving_row();
+            if !violated {
                 break;
             }
             if self.iterations >= self.max_iterations {
@@ -365,8 +378,10 @@ impl Simplex<'_> {
                 self.reset_to_all_slack();
                 return self.run();
             }
-            self.maybe_refactor(false)?;
-            match self.dual_step()? {
+            if self.maybe_refactor(false)? {
+                leave = self.leaving_row().1;
+            }
+            match self.dual_step(leave)? {
                 StepOutcome::Moved => {
                     retried = false;
                 }
@@ -444,51 +459,71 @@ impl Simplex<'_> {
         true
     }
 
-    /// One dual-simplex pivot with a bound-flipping ratio test (BFRT).
-    /// `Unbounded` means the *dual* is unbounded, i.e. the primal is
-    /// infeasible.
-    fn dual_step(&mut self) -> Result<StepOutcome, LpError> {
+    /// One pass over the infeasibility list for the dual simplex. Drops
+    /// the entries that are feasible again (no sorting) and returns
+    /// whether some basic lies past a bound by more than `feas_tol`,
+    /// together with the leaving row: the most-violated basic, optionally
+    /// scaled by the dual row weights (Devex proxy, or exact dual
+    /// steepest edge under `Pricing::SteepestEdge`), ties to the lowest
+    /// position — the row a scan in position order would pick.
+    fn leaving_row(&mut self) -> (bool, Option<LeavingRow>) {
         let feas_tol = self.opt.feas_tol;
-
-        // 1. Leaving row: most-violated basic variable, optionally
-        // scaled by the dual row weights (Devex proxy, or exact dual
-        // steepest edge under `Pricing::SteepestEdge`). Candidates come
-        // from the infeasibility list, in position order.
         let use_devex = self.opt.pricing != super::Pricing::Dantzig && !self.bland;
-        let mut r = usize::MAX;
-        let mut worst = 0.0f64;
-        let mut best_score = 0.0f64;
-        let mut to_upper = false;
-        self.compact_infeasible();
-        for &iu in &self.infeas {
-            let i = iu as usize;
-            let j = self.basis[i];
-            let v = self.x[j];
-            let above = v - self.sf.ub[j];
-            let below = self.sf.lb[j] - v;
-            let (viol, up) = if above >= below {
+        let mut violated = false;
+        let mut best: Option<(f64, LeavingRow)> = None;
+        self.retain_infeasible(|s, i| {
+            let j = s.basis[i];
+            let v = s.x[j];
+            let above = v - s.sf.ub[j];
+            let below = s.sf.lb[j] - v;
+            violated |= above > feas_tol || below > feas_tol;
+            let (viol, to_upper) = if above >= below {
                 (above, true)
             } else {
                 (below, false)
             };
             if viol <= feas_tol {
-                continue;
+                return;
             }
             let score = if use_devex {
-                viol * viol / self.dual_w[i]
+                viol * viol / s.dual_w[i]
             } else {
                 viol
             };
-            if score > best_score {
-                best_score = score;
-                worst = viol;
-                r = i;
-                to_upper = up;
+            let better = match best {
+                None => score > 0.0,
+                Some((s, b)) => score > s || (score == s && i < b.pos),
+            };
+            if better {
+                best = Some((
+                    score,
+                    LeavingRow {
+                        pos: i,
+                        viol,
+                        to_upper,
+                    },
+                ));
             }
-        }
-        if r == usize::MAX {
+        });
+        (violated, best.map(|(_, row)| row))
+    }
+
+    /// One dual-simplex pivot with a bound-flipping ratio test (BFRT),
+    /// leaving on the row [`leaving_row`](Self::leaving_row) picked (none:
+    /// primal feasible). `Unbounded` means the *dual* is unbounded, i.e.
+    /// the primal is infeasible.
+    fn dual_step(&mut self, leave: Option<LeavingRow>) -> Result<StepOutcome, LpError> {
+        let feas_tol = self.opt.feas_tol;
+
+        // 1. Leaving row, chosen by the caller.
+        let Some(LeavingRow {
+            pos: r,
+            viol: worst,
+            to_upper,
+        }) = leave
+        else {
             return Ok(StepOutcome::OptimalOrFeasible);
-        }
+        };
         self.iterations += 1;
         let jl = self.basis[r];
         let target = if to_upper {
@@ -504,19 +539,7 @@ impl Simplex<'_> {
         // rho · a_j via the CSR rows of rho's pattern.
         let mut rho = std::mem::take(&mut self.rho_work);
         self.facto.btran_unit(r, &mut rho);
-        self.alpha_touched.clear();
-        for (i, ri) in rho.iter() {
-            if ri.abs() <= 1e-12 {
-                continue;
-            }
-            for (jcol, v) in self.sf.a_csr.row(i as usize) {
-                let j = jcol as usize;
-                if self.alpha_buf[j] == 0.0 {
-                    self.alpha_touched.push(jcol);
-                }
-                self.alpha_buf[j] += ri * v;
-            }
-        }
+        self.accumulate_pivot_row(&rho);
         self.rho_work = rho;
 
         // 3. Bound-flipping dual ratio test. Collect every eligible
@@ -654,7 +677,7 @@ impl Simplex<'_> {
             let j = jcol as usize;
             let alpha = self.alpha_buf[j];
             self.alpha_buf[j] = 0.0;
-            if self.stat[j] == CStat::Basic || j == q {
+            if j == q {
                 continue;
             }
             self.z[j] -= theta_d * alpha;

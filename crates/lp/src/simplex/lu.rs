@@ -3,10 +3,16 @@
 //!
 //! The basis matrix `B` consists of `m` columns of the constraint matrix.
 //! We factorize `P·B·Q = L·U` where `Q` orders columns by increasing
-//! nonzero count and `P` permutes rows by a Markowitz-style threshold
-//! rule: among rows whose pivot candidate is within a fixed factor of
-//! the largest magnitude, take the one with the fewest nonzeros across
-//! the basis columns (stability first, fill second).
+//! nonzero count (a stable counting sort, ties by basis position) and
+//! `P` permutes rows by a Markowitz-style threshold rule: among rows
+//! whose pivot candidate is within a fixed factor of the largest
+//! magnitude, take the one with the fewest nonzeros across the basis
+//! columns (stability first, fill second). Singleton columns come
+//! first in that order, and one whose row is still unpivoted — every
+//! slack of an all-slack-heavy basis — is pivoted on its entry
+//! directly, without the symbolic reach or the elimination (which would
+//! find that entry alone); below the pivot tolerance it is reported
+//! deficient, as the threshold rule would.
 //!
 //! After each simplex pivot the factorization is *updated*, not rebuilt,
 //! in one of two ways selected by [`BasisUpdate`]:
@@ -16,16 +22,20 @@
 //!   step `t` records its *spike* `s = U·d` as the new column, then
 //!   eliminates row `t` against the trailing rows — a sparse triangular
 //!   solve yields the multipliers, stored as one row eta — and cyclically
-//!   permutes `t` to the last ordinal so `U` stays triangular. A
-//!   stability monitor compares the recomputed diagonal against its
-//!   product-form prediction `d_pos·u_tt` and declines the update (the
-//!   caller refactorizes) on disagreement.
+//!   permutes `t` to the end of the elimination order so `U` stays
+//!   triangular. The order is a doubly linked list of steps, so that
+//!   move costs O(1) and the dense solves walk the list from either
+//!   end. A stability monitor compares the recomputed diagonal against
+//!   its product-form prediction `d_pos·u_tt` and declines the update
+//!   (the caller refactorizes) on disagreement.
 //! * **Eta**: the update `B' = B·E` is recorded as a sparse eta matrix
 //!   `E` (identity with one replaced column) — the extended product-form
 //!   of the inverse, kept as the differential oracle. FTRAN/BTRAN apply
 //!   the eta file around the LU solve.
 //!
-//! Either update file is discarded at the next refactorization.
+//! Either update file is discarded at the next refactorization. Its fill
+//! (eta nonzeros, or row-eta multipliers plus net `U` growth) is kept as
+//! running totals, so the refactorization monitor reads it in O(1).
 //!
 //! Solves are **hyper-sparse**: right-hand sides, intermediates, and
 //! results live in indexed [`WorkVec`]s. A depth-first symbolic reach
@@ -152,19 +162,49 @@ struct Ft {
     urows: Vec<Vec<(u32, f64)>>,
     /// Diagonal per column step.
     udiag: Vec<f64>,
-    /// ordinal -> step: the triangular elimination order of the current
-    /// `U` (identity at refactorization, rotated by each update).
-    ord: Vec<u32>,
-    /// step -> ordinal.
-    ord_of: Vec<u32>,
+    /// The triangular elimination order of the current `U` as a doubly
+    /// linked list of steps (ascending at refactorization; each update
+    /// moves its step to the tail): successor per step, [`UNSET`] at
+    /// the tail.
+    next: Vec<u32>,
+    /// Predecessor per step, [`UNSET`] at the head.
+    prev: Vec<u32>,
+    /// First step of the order.
+    head: u32,
+    /// Last step of the order.
+    tail: u32,
     /// Row etas, chronological.
     row_etas: Vec<RowEta>,
+    /// Nonzeros across `row_etas`, each counting its multipliers plus
+    /// one (kept as a running total for the fill monitor).
+    row_eta_nnz: usize,
     /// Updates applied since the last refactorization.
     updates: usize,
     /// `U` nonzeros (off-diagonal) at the last refactorization.
     base_nnz: usize,
     /// Current `U` nonzeros (off-diagonal), maintained incrementally.
     live_nnz: usize,
+}
+
+impl Ft {
+    /// Unlinks step `t` from the elimination order and appends it at the
+    /// tail, in O(1).
+    fn move_to_tail(&mut self, t: u32) {
+        if t == self.tail {
+            return;
+        }
+        let (p, n) = (self.prev[t as usize], self.next[t as usize]);
+        if p == UNSET {
+            self.head = n;
+        } else {
+            self.next[p as usize] = n;
+        }
+        self.prev[n as usize] = p;
+        self.prev[t as usize] = self.tail;
+        self.next[self.tail as usize] = t;
+        self.next[t as usize] = UNSET;
+        self.tail = t;
+    }
 }
 
 /// LU factors plus eta file. Sparse solves work on [`WorkVec`]s; the
@@ -200,6 +240,9 @@ pub struct Factorization {
     lt_start: Vec<usize>,
     lt_cols: Vec<u32>,
     etas: Vec<Eta>,
+    /// Nonzeros across `etas`, each counting its entries plus the pivot
+    /// (kept as a running total for the fill monitor).
+    eta_nnz: usize,
     /// Basis-update mode; [`Ft`] is maintained when Forrest–Tomlin.
     mode: BasisUpdate,
     ft: Ft,
@@ -242,6 +285,7 @@ impl Factorization {
             lt_start: Vec::new(),
             lt_cols: Vec::new(),
             etas: Vec::new(),
+            eta_nnz: 0,
             mode: BasisUpdate::Eta,
             ft: Ft::default(),
             counts: OpCounts::default(),
@@ -264,12 +308,6 @@ impl Factorization {
         self.mode = mode;
     }
 
-    /// Total nonzeros across the eta file (fill indicator for the
-    /// update chain; drives early refactorization).
-    pub fn eta_nnz(&self) -> usize {
-        self.etas.iter().map(|e| e.d.len() + 1).sum()
-    }
-
     /// Basis updates absorbed since the last refactorization, whichever
     /// the scheme (drives the periodic refactorization interval).
     #[inline]
@@ -285,10 +323,9 @@ impl Factorization {
     /// eta-file nonzeros, or FT row-eta multipliers plus net `U` growth.
     pub fn update_fill(&self) -> usize {
         if self.ft.active {
-            let row_eta: usize = self.ft.row_etas.iter().map(|e| e.m.len() + 1).sum();
-            row_eta + self.ft.live_nnz.saturating_sub(self.ft.base_nnz)
+            self.ft.row_eta_nnz + self.ft.live_nnz.saturating_sub(self.ft.base_nnz)
         } else {
-            self.eta_nnz()
+            self.eta_nnz
         }
     }
 
@@ -356,7 +393,7 @@ impl Factorization {
         let rows: usize = self.ft.urows.iter().map(Vec::capacity).sum();
         let etas: usize = self.ft.row_etas.iter().map(|e| e.m.capacity()).sum();
         (cols + rows + etas) * pair
-            + (self.ft.ord.capacity() + self.ft.ord_of.capacity() + self.ft_pat.capacity()) * u
+            + (self.ft.next.capacity() + self.ft.prev.capacity() + self.ft_pat.capacity()) * u
             + self.ft.udiag.capacity() * f
     }
 
@@ -389,6 +426,7 @@ impl Factorization {
         self.u_vals.clear();
         self.u_diag.clear();
         self.etas.clear();
+        self.eta_nnz = 0;
         self.ft.active = false;
 
         // Markowitz row counts: nonzeros per row across the basis.
@@ -399,9 +437,9 @@ impl Factorization {
             }
         }
 
-        // Static column order: increasing nonzero count.
-        let mut order: Vec<u32> = (0..m as u32).collect();
-        order.sort_by_key(|&p| a.col_nnz(basis[p as usize]));
+        // Static column order: increasing nonzero count, ties by basis
+        // position (a stable counting sort).
+        let order = order_by_nnz(a, basis);
 
         // Gilbert–Peierls per column. `k` counts pivoted columns only:
         // deficient ones are skipped and reported together at the end.
@@ -411,6 +449,22 @@ impl Factorization {
         let mut k = 0usize;
         for &p in &order {
             let col = basis[p as usize];
+            // Singleton on an unpivoted row (slacks, mostly): its reach is
+            // the row alone and nothing eliminates into it, so the entry
+            // is the pivot — or the column is deficient, as the threshold
+            // rule below would find.
+            if a.col_nnz(col) == 1 {
+                let (row, val) = a.col(col).next().expect("one entry");
+                if self.rpos[row as usize] == UNSET {
+                    if val.abs() >= pivot_tol {
+                        self.close_step(k, row, val, p);
+                        k += 1;
+                    } else {
+                        deficient.push(p);
+                    }
+                    continue;
+                }
+            }
             self.epoch += 1;
             let epoch = self.epoch;
             pattern.clear();
@@ -534,12 +588,7 @@ impl Factorization {
                     self.l_vals.push(v / diag);
                 }
             }
-            self.u_diag.push(diag);
-            self.u_start.push(self.u_steps.len());
-            self.l_start.push(self.l_rows.len());
-            self.rpos[piv_row as usize] = k as u32;
-            self.rinv[k] = piv_row;
-            self.cinv[k] = p;
+            self.close_step(k, piv_row, diag, p);
             k += 1;
         }
         self.dfs_stack = dfs_stack;
@@ -580,6 +629,18 @@ impl Factorization {
         Ok(())
     }
 
+    /// Ends elimination step `k`: basis position `p` pivoted on `row`
+    /// with diagonal `diag`; the entries pushed since the previous step
+    /// form U's and L's column `k`.
+    fn close_step(&mut self, k: usize, row: u32, diag: f64, p: u32) {
+        self.u_diag.push(diag);
+        self.u_start.push(self.u_steps.len());
+        self.l_start.push(self.l_rows.len());
+        self.rpos[row as usize] = k as u32;
+        self.rinv[k] = row;
+        self.cinv[k] = p;
+    }
+
     /// (Re)builds the dynamic `U` representation from the fresh factors.
     fn ft_rebuild(&mut self) {
         let m = self.m;
@@ -602,11 +663,19 @@ impl Factorization {
                 ft.urows[j as usize].push((k as u32, v));
             }
         }
-        ft.ord.clear();
-        ft.ord.extend(0..m as u32);
-        ft.ord_of.clear();
-        ft.ord_of.extend(0..m as u32);
+        // Ascending order: step s links to s + 1; `UNSET` (u32::MAX)
+        // ends the list at both sides.
+        ft.next.clear();
+        ft.next.extend((0..m as u32).map(|s| s + 1));
+        if let Some(last) = ft.next.last_mut() {
+            *last = UNSET;
+        }
+        ft.prev.clear();
+        ft.prev.extend((0..m as u32).map(|s| s.wrapping_sub(1)));
+        ft.head = if m == 0 { UNSET } else { 0 };
+        ft.tail = (m as u32).wrapping_sub(1);
         ft.row_etas.clear();
+        ft.row_eta_nnz = 0;
         ft.updates = 0;
         ft.base_nnz = self.u_steps.len();
         ft.live_nnz = self.u_steps.len();
@@ -772,9 +841,10 @@ impl Factorization {
                 }
                 x[re.t as usize] = acc;
             }
-            // Dynamic U backward, descending ordinals.
-            for i in (0..self.m).rev() {
-                let k = self.ft.ord[i] as usize;
+            // Dynamic U backward, from the tail of the order.
+            let mut step = self.ft.tail;
+            while step != UNSET {
+                let k = step as usize;
                 let xv = x[k] / self.ft.udiag[k];
                 x[k] = xv;
                 if xv != 0.0 {
@@ -782,6 +852,7 @@ impl Factorization {
                         x[j as usize] -= u * xv;
                     }
                 }
+                step = self.ft.prev[k];
             }
             self.steps_to_positions(x);
             return;
@@ -809,9 +880,11 @@ impl Factorization {
         y.extend_from_slice(c);
         if self.ft.active {
             self.positions_to_steps(y);
-            // Dynamic Uᵀ forward, ascending ordinals (scatter form).
-            for i in 0..self.m {
-                let k = self.ft.ord[i] as usize;
+            // Dynamic Uᵀ forward, from the head of the order (scatter
+            // form).
+            let mut step = self.ft.head;
+            while step != UNSET {
+                let k = step as usize;
                 let yv = y[k] / self.ft.udiag[k];
                 y[k] = yv;
                 if yv != 0.0 {
@@ -819,6 +892,7 @@ impl Factorization {
                         y[cstep as usize] -= u * yv;
                     }
                 }
+                step = self.ft.next[k];
             }
             // Row-eta transposes, newest first.
             for re in self.ft.row_etas.iter().rev() {
@@ -897,6 +971,7 @@ impl Factorization {
             }
         }
         self.counts.update_nnz += sparse.len() + 1;
+        self.eta_nnz += sparse.len() + 1;
         self.etas.push(Eta { pos, d: sparse, dp });
     }
 
@@ -1035,21 +1110,16 @@ impl Factorization {
         self.counts.spike_nnz += spike_len;
         self.counts.update_nnz += spike_len + multipliers.len();
         if !multipliers.is_empty() {
+            self.ft.row_eta_nnz += multipliers.len() + 1;
             self.ft.row_etas.push(RowEta {
                 t: t as u32,
                 m: multipliers,
             });
         }
-        // Rotate t to the last ordinal (cyclic permutation keeps the
-        // trailing rows' relative order, so U stays triangular).
-        let pi = self.ft.ord_of[t] as usize;
-        for i in pi..m - 1 {
-            let s = self.ft.ord[i + 1];
-            self.ft.ord[i] = s;
-            self.ft.ord_of[s as usize] = i as u32;
-        }
-        self.ft.ord[m - 1] = t as u32;
-        self.ft.ord_of[t] = (m - 1) as u32;
+        // Move t to the tail of the order (a cyclic permutation: the
+        // trailing rows keep their relative order, so U stays
+        // triangular).
+        self.ft.move_to_tail(t as u32);
         self.ft.updates += 1;
         mvec.clear_to_dim(m);
         self.ft_rhs = mvec;
@@ -1493,6 +1563,26 @@ fn rebuild_pattern(v: &mut WorkVec) {
     }
 }
 
+/// Basis positions ordered by their column's nonzero count, ties by
+/// position: a stable counting sort over the counts.
+fn order_by_nnz(a: &CscMatrix, basis: &[usize]) -> Vec<u32> {
+    let max_nnz = basis.iter().map(|&c| a.col_nnz(c)).max().unwrap_or(0);
+    let mut start = vec![0usize; max_nnz + 2];
+    for &c in basis {
+        start[a.col_nnz(c) + 1] += 1;
+    }
+    for i in 0..=max_nnz {
+        start[i + 1] += start[i];
+    }
+    let mut order = vec![0u32; basis.len()];
+    for (p, &c) in basis.iter().enumerate() {
+        let slot = &mut start[a.col_nnz(c)];
+        order[*slot] = p as u32;
+        *slot += 1;
+    }
+    order
+}
+
 /// Builds the transposed (indices-only) adjacency of a step-indexed
 /// column structure: `out[s]` lists the columns holding an entry at `s`.
 fn build_transpose(
@@ -1778,12 +1868,31 @@ mod tests {
         }
     }
 
+    /// The Forrest–Tomlin elimination order, head to tail, checking the
+    /// links agree in both directions.
+    fn ft_order(f: &Factorization) -> Vec<u32> {
+        let mut order = Vec::new();
+        let mut prev = UNSET;
+        let mut step = f.ft.head;
+        while step != UNSET {
+            assert_eq!(f.ft.prev[step as usize], prev, "broken back link");
+            order.push(step);
+            prev = step;
+            step = f.ft.next[step as usize];
+        }
+        assert_eq!(f.ft.tail, prev, "tail is not the last step");
+        order
+    }
+
     #[test]
     fn ft_update_matches_refactor() {
         // Forrest–Tomlin twin of `eta_update_matches_refactor`: replace
-        // several basis columns through `push_update` under the FT mode
-        // and check every FTRAN/BTRAN entry point against the new basis.
+        // at least m basis columns per trial through `push_update` under
+        // the FT mode — steering pivots onto the head of the elimination
+        // order, onto its tail (already last), and elsewhere — and check
+        // every FTRAN/BTRAN entry point against the new basis.
         let mut rng = StdRng::seed_from_u64(18);
+        let (mut head_moves, mut tail_moves, mut other_moves) = (0, 0, 0);
         for trial in 0..25 {
             let m = rng.gen_range(3..12);
             let ncols = m + 6;
@@ -1803,31 +1912,62 @@ mod tests {
             f.set_mode(BasisUpdate::ForrestTomlin);
             f.refactor(&a, &basis, 1e-10).unwrap();
 
-            for _ in 0..4 {
-                let entering = rng.gen_range(m..ncols);
+            let mut applied = 0;
+            for attempt in 0..20 * m {
+                if applied >= m {
+                    break;
+                }
+                let entering = rng.gen_range(0..ncols);
                 if basis.contains(&entering) {
                     continue;
                 }
                 let mut d = WorkVec::with_dim(m);
                 f.ftran_col(&a, entering, &mut d);
                 check_pattern(&d);
-                let (pos, dp) = d
+                let (big, dmax) = d
                     .vals
                     .iter()
                     .enumerate()
                     .max_by(|x, y| x.1.abs().partial_cmp(&y.1.abs()).unwrap())
-                    .map(|(i, &v)| (i, v))
+                    .map(|(i, &v)| (i, v.abs()))
                     .unwrap();
-                if dp.abs() < 1e-6 {
+                if dmax < 1e-6 {
                     continue;
                 }
-                if !f.push_update(pos, &d, 1e-14) {
+                // Target the head, the tail or the largest entry in turn;
+                // fall back to the largest when the target is too small.
+                let order = ft_order(&f);
+                assert_eq!(order.len(), m, "trial {trial}: order lost steps");
+                let target = match attempt % 3 {
+                    0 => f.cinv[order[0] as usize] as usize,
+                    1 => f.cinv[order[m - 1] as usize] as usize,
+                    _ => big,
+                };
+                let pos = if d.vals[target].abs() >= 0.1 * dmax {
+                    target
+                } else {
+                    big
+                };
+                let step = f.cpos[pos];
+                basis[pos] = entering;
+                if f.push_update(pos, &d, 1e-14) {
+                    applied += 1;
+                    if step == order[0] {
+                        head_moves += 1;
+                    } else if step == order[m - 1] {
+                        tail_moves += 1;
+                    } else {
+                        other_moves += 1;
+                    }
+                    let after = ft_order(&f);
+                    assert_eq!(after.last(), Some(&step), "moved step is not last");
+                    let mut rest = order.clone();
+                    rest.retain(|&s| s != step);
+                    assert_eq!(&after[..m - 1], &rest[..], "others kept their order");
+                } else {
                     // Declined by the stability monitor: refactorize,
                     // exactly as the simplex driver would.
-                    basis[pos] = entering;
                     f.refactor(&a, &basis, 1e-10).unwrap();
-                } else {
-                    basis[pos] = entering;
                 }
 
                 let mut x = WorkVec::with_dim(m);
@@ -1843,6 +1983,22 @@ mod tests {
                             "trial {trial} col {col}: {bx:?} vs {expect:?}"
                         );
                     }
+                }
+                // Dense FTRAN against a fresh factorization of the basis.
+                let mut fresh = Factorization::new(m);
+                fresh.set_mode(BasisUpdate::ForrestTomlin);
+                fresh.refactor(&a, &basis, 1e-10).unwrap();
+                let rhs: Vec<f64> = (0..m).map(|_| rng.gen_range(-3.0..3.0)).collect();
+                let (mut xd, mut xf) = (Vec::new(), Vec::new());
+                f.ftran_dense(&rhs, &mut xd);
+                fresh.ftran_dense(&rhs, &mut xf);
+                for i in 0..m {
+                    assert!(
+                        (xd[i] - xf[i]).abs() < 1e-7 * (1.0 + xf[i].abs()),
+                        "trial {trial} ftran_dense at {i}: {} vs {}",
+                        xd[i],
+                        xf[i]
+                    );
                 }
                 let c: Vec<f64> = (0..m).map(|_| rng.gen_range(-3.0..3.0)).collect();
                 let mut y = Vec::new();
@@ -1861,6 +2017,91 @@ mod tests {
                         assert!((bi - want).abs() < 1e-7, "trial {trial} unit {pos}");
                     }
                 }
+            }
+            assert!(applied >= m, "trial {trial}: only {applied} of {m} updates");
+        }
+        assert!(
+            head_moves > 0 && tail_moves > 0 && other_moves > 0,
+            "moves: head {head_moves}, tail {tail_moves}, other {other_moves}"
+        );
+    }
+
+    #[test]
+    fn counting_sort_orders_like_a_stable_sort() {
+        let mut rng = StdRng::seed_from_u64(5);
+        for _ in 0..20 {
+            let m = rng.gen_range(1..30);
+            let ncols = m + 10;
+            let cols: Vec<Vec<(u32, f64)>> = (0..ncols)
+                .map(|_| {
+                    (0..m as u32)
+                        .filter(|_| rng.gen_bool(0.2))
+                        .map(|r| (r, 1.0))
+                        .collect()
+                })
+                .collect();
+            let a = CscMatrix::from_columns(m, &cols);
+            let basis: Vec<usize> = (0..m).map(|_| rng.gen_range(0..ncols)).collect();
+            let mut want: Vec<u32> = (0..m as u32).collect();
+            want.sort_by_key(|&p| a.col_nnz(basis[p as usize]));
+            assert_eq!(order_by_nnz(&a, &basis), want);
+        }
+    }
+
+    #[test]
+    fn tiny_singleton_is_deficient() {
+        // A one-entry column below the pivot tolerance on an unpivoted
+        // row: reported, and its row left unpivoted, as the threshold
+        // rule would.
+        let a = csc_from_dense(&[
+            vec![1e-12, 0.0, 1.0],
+            vec![0.0, 3.0, 1.0],
+            vec![0.0, 0.0, 1.0],
+        ]);
+        let mut f = Factorization::new(3);
+        let err = f.refactor(&a, &[0, 1, 2], 1e-10).unwrap_err();
+        assert_eq!(err.positions, vec![0]);
+        assert_eq!(err.rows.len(), 1);
+    }
+
+    #[test]
+    fn singleton_on_a_pivoted_row_takes_the_general_path() {
+        // Columns 0 and 1 are singletons on row 0: the first pivots it,
+        // the second meets a pivoted row, goes through the elimination
+        // and comes out dependent. Swapping in the unit column of the
+        // row left unpivoted gives a basis whose solves round-trip.
+        let a = csc_from_dense(&[
+            vec![2.0, 3.0, 1.0, 0.0, 0.0],
+            vec![0.0, 0.0, 1.0, 1.0, 0.0],
+            vec![0.0, 0.0, 1.0, 0.0, 1.0],
+        ]);
+        let mut f = Factorization::new(3);
+        let err = f.refactor(&a, &[0, 1, 2], 1e-10).unwrap_err();
+        assert_eq!(err.positions, vec![1]);
+        assert_eq!(err.rows.len(), 1);
+        // Row r > 0's unit column is column 2 + r.
+        assert_ne!(err.rows[0], 0, "row 0 is pivoted by column 0");
+        let mut basis = vec![0, 1, 2];
+        basis[1] = 2 + err.rows[0] as usize;
+        f.refactor(&a, &basis, 1e-10).unwrap();
+        let mut x = WorkVec::with_dim(3);
+        for col in 0..5 {
+            f.ftran_col(&a, col, &mut x);
+            check_pattern(&x);
+            let bx = basis_matvec(&a, &basis, &x.vals);
+            let mut expect = vec![0.0; 3];
+            a.axpy_col(col, 1.0, &mut expect);
+            for i in 0..3 {
+                assert!((bx[i] - expect[i]).abs() < 1e-12, "col {col}");
+            }
+        }
+        let mut r = WorkVec::with_dim(3);
+        for pos in 0..3 {
+            f.btran_unit(pos, &mut r);
+            let bty = basis_matvec_t(&a, &basis, &r.vals);
+            for (i, &bi) in bty.iter().enumerate() {
+                let want = if i == pos { 1.0 } else { 0.0 };
+                assert!((bi - want).abs() < 1e-12, "unit {pos}");
             }
         }
     }

@@ -667,17 +667,27 @@ impl<'a> Simplex<'a> {
     }
 
     /// Drops listed positions that are feasible again and sorts the rest,
-    /// so consumers visit candidates in the order a full scan would (same
-    /// tie-breaks, same sparse-vector patterns).
+    /// so phase-1 consumers visit candidates in the order a full scan
+    /// would (same tie-breaks, same sparse-vector patterns).
     fn compact_infeasible(&mut self) {
+        self.retain_infeasible(|_, _| {});
+        self.infeas.sort_unstable();
+    }
+
+    /// Drops listed positions that are feasible again, calling `visit`
+    /// on each position kept, in list order.
+    fn retain_infeasible(&mut self, mut visit: impl FnMut(&Self, usize)) {
         let mut list = std::mem::take(&mut self.infeas);
         let mut flags = std::mem::take(&mut self.in_infeas);
-        list.retain(|&i| {
-            let keep = self.loosely_infeasible(i as usize);
-            flags[i as usize] = keep;
+        list.retain(|&iu| {
+            let i = iu as usize;
+            let keep = self.loosely_infeasible(i);
+            flags[i] = keep;
+            if keep {
+                visit(self, i);
+            }
             keep
         });
-        list.sort_unstable();
         self.infeas = list;
         self.in_infeas = flags;
         debug_assert!(
@@ -697,20 +707,23 @@ impl<'a> Simplex<'a> {
         })
     }
 
-    fn maybe_refactor(&mut self, phase1: bool) -> Result<(), LpError> {
-        // Refactor on the fixed cadence, or early when the update file's
-        // fill (eta columns, or FT spikes + row etas) has outgrown the LU
-        // factors — FTRAN/BTRAN then cost more through the update chain
-        // than a fresh factorization would.
-        let fill_heavy = self.facto.update_fill() > 2 * self.facto.factor_nnz() + 4 * self.sf.m;
-        if self.facto.update_count() >= self.opt.refactor_interval {
-            self.facto.count_refactor(RefactorCause::Interval);
-            self.refactor_and_recompute(phase1)?;
-        } else if self.facto.update_count() >= 16 && fill_heavy {
-            self.facto.count_refactor(RefactorCause::Fill);
-            self.refactor_and_recompute(phase1)?;
-        }
-        Ok(())
+    /// Refactors on the fixed cadence, or early when the update file's
+    /// fill (eta columns, or FT spikes + row etas) has outgrown the LU
+    /// factors — FTRAN/BTRAN then cost more through the update chain
+    /// than a fresh factorization would. Returns whether it refactored.
+    fn maybe_refactor(&mut self, phase1: bool) -> Result<bool, LpError> {
+        let cause = if self.facto.update_count() >= self.opt.refactor_interval {
+            RefactorCause::Interval
+        } else if self.facto.update_count() >= 16
+            && self.facto.update_fill() > 2 * self.facto.factor_nnz() + 4 * self.sf.m
+        {
+            RefactorCause::Fill
+        } else {
+            return Ok(false);
+        };
+        self.facto.count_refactor(cause);
+        self.refactor_and_recompute(phase1)?;
+        Ok(true)
     }
 
     /// `refactor_and_recompute`, unless nothing has moved since the last
@@ -873,19 +886,7 @@ impl<'a> Simplex<'a> {
         // exactly those (row-oriented accumulation through the CSR
         // mirror). Bland mode takes the smallest eligible index; partial
         // pricing is moot since the candidate set is already restricted.
-        self.alpha_touched.clear();
-        for (i, ri) in db.iter() {
-            if ri.abs() <= 1e-12 {
-                continue;
-            }
-            for (jcol, v) in self.sf.a_csr.row(i as usize) {
-                let j = jcol as usize;
-                if self.alpha_buf[j] == 0.0 {
-                    self.alpha_touched.push(jcol);
-                }
-                self.alpha_buf[j] += ri * v;
-            }
-        }
+        self.accumulate_pivot_row(&db);
         self.rho_work = db;
         let touched = std::mem::take(&mut self.alpha_touched);
         let mut best: Option<(usize, f64, f64)> = None; // (col, zj, score)
@@ -893,7 +894,7 @@ impl<'a> Simplex<'a> {
             let j = jcol as usize;
             let zj = -self.alpha_buf[j];
             self.alpha_buf[j] = 0.0;
-            if self.stat[j] == CStat::Basic || self.eligible_direction(j, zj) == 0.0 {
+            if self.eligible_direction(j, zj) == 0.0 {
                 continue;
             }
             if self.bland {
@@ -1136,23 +1137,12 @@ impl<'a> Simplex<'a> {
         };
 
         // Reduced-cost and Devex updates (phase 2 only) need the pivot row
-        // of the OLD basis: rho = B^{-T} e_r, alpha_j = rho·a_j.
-        let dr = d.vals[r];
+        // of the OLD basis: rho = B^{-T} e_r, alpha_j = rho·a_j. (The
+        // dual row weights are left alone: no dual step follows a primal
+        // pivot without a refactorization resetting them.)
         if !phase1 {
-            self.update_duals_after_pivot(q, r, zq, dr, &d);
+            self.update_duals_after_pivot(q, r, zq, d.vals[r], &d);
         }
-        // Dual-Devex row weight propagation through the pivot column.
-        let wr = self.dual_w[r];
-        for (i, di) in d.iter() {
-            let i = i as usize;
-            if i != r {
-                let cand = (di / dr) * (di / dr) * wr;
-                if cand > self.dual_w[i] {
-                    self.dual_w[i] = cand;
-                }
-            }
-        }
-        self.dual_w[r] = (wr / (dr * dr)).max(1.0);
 
         // Basis bookkeeping + factor update (FT spike or eta column).
         let updated = self.facto.push_update(r, &d, 1e-14);
@@ -1221,19 +1211,7 @@ impl<'a> Simplex<'a> {
         }
 
         // alpha_j = rho · a_j for nonbasic j, via CSR rows of nonzero rho.
-        self.alpha_touched.clear();
-        for (i, ri) in rho.iter() {
-            if ri.abs() <= 1e-12 {
-                continue;
-            }
-            for (jcol, v) in self.sf.a_csr.row(i as usize) {
-                let j = jcol as usize;
-                if self.alpha_buf[j] == 0.0 {
-                    self.alpha_touched.push(jcol);
-                }
-                self.alpha_buf[j] += ri * v;
-            }
-        }
+        self.accumulate_pivot_row(&rho);
         let ratio = zq / dr;
         let wq = self.devex[q];
         // Pre-read the touched list to appease the borrow checker.
@@ -1242,7 +1220,7 @@ impl<'a> Simplex<'a> {
             let j = jcol as usize;
             let alpha = self.alpha_buf[j];
             self.alpha_buf[j] = 0.0;
-            if self.stat[j] == CStat::Basic || j == q {
+            if j == q {
                 continue;
             }
             self.z[j] -= ratio * alpha;
@@ -1277,6 +1255,29 @@ impl<'a> Simplex<'a> {
             (wq / (dr * dr)).max(1.0)
         };
         self.rho_work = rho;
+    }
+
+    /// Accumulates the pivot row `alpha_j = rho · a_j` into `alpha_buf`
+    /// for the nonbasic columns `j` (every consumer discards the basic
+    /// ones), through the CSR rows of `rho`'s pattern; `alpha_touched`
+    /// lists the touched columns in first-touch order.
+    fn accumulate_pivot_row(&mut self, rho: &WorkVec) {
+        self.alpha_touched.clear();
+        for (i, ri) in rho.iter() {
+            if ri.abs() <= 1e-12 {
+                continue;
+            }
+            for (jcol, v) in self.sf.a_csr.row(i as usize) {
+                let j = jcol as usize;
+                if self.stat[j] == CStat::Basic {
+                    continue;
+                }
+                if self.alpha_buf[j] == 0.0 {
+                    self.alpha_touched.push(jcol);
+                }
+                self.alpha_buf[j] += ri * v;
+            }
+        }
     }
 
     /// Tracks degeneracy and toggles Bland's rule.

@@ -53,31 +53,8 @@ impl StdForm {
         let m = model.num_constraints();
         let n_struct = model.num_vars();
         let n = n_struct + m;
-
-        let s = if scale && m > 0 && n_struct > 0 {
-            let mut triplets = Vec::with_capacity(model.num_nonzeros());
-            for (ri, c) in model.constraints.iter().enumerate() {
-                for &(v, coef) in &c.terms {
-                    triplets.push((ri as u32, v, coef));
-                }
-            }
-            scaling::geometric_mean(m, n_struct, triplets.iter().copied(), 2)
-        } else {
-            scaling::Scaling::identity(m, n_struct)
-        };
-
-        // Columns: structural then slacks. Slack column scale is chosen as
-        // 1/row_scale so the slack entry stays exactly 1.0.
-        let mut columns: Vec<Vec<(u32, f64)>> = vec![Vec::new(); n];
-        for (ri, cons) in model.constraints.iter().enumerate() {
-            for &(v, coef) in &cons.terms {
-                columns[v as usize]
-                    .push((ri as u32, coef * s.row_scale[ri] * s.col_scale[v as usize]));
-            }
-            columns[n_struct + ri].push((ri as u32, 1.0));
-        }
-        let a = CscMatrix::from_columns(m, &columns);
-        let a_csr = a.to_csr();
+        let s = scaling_of(model, scale);
+        let (a, a_csr) = assemble(model, &s);
 
         let sign = match model.sense {
             Sense::Minimize => 1.0,
@@ -151,6 +128,89 @@ impl StdForm {
     }
 }
 
+/// Geometric-mean equilibration of the model's rows and columns, or the
+/// identity when `scale` is off or the matrix is empty.
+fn scaling_of(model: &Model, scale: bool) -> scaling::Scaling {
+    let (m, n_struct) = (model.num_constraints(), model.num_vars());
+    if !(scale && m > 0 && n_struct > 0) {
+        return scaling::Scaling::identity(m, n_struct);
+    }
+    let mut triplets = Vec::with_capacity(model.num_nonzeros());
+    for (ri, c) in model.constraints.iter().enumerate() {
+        for &(v, coef) in &c.terms {
+            triplets.push((ri as u32, v, coef));
+        }
+    }
+    scaling::geometric_mean(m, n_struct, triplets.iter().copied(), 2)
+}
+
+/// The scaled constraint matrix with one slack column per row, in both
+/// layouts. Columns are the structurals then the slacks; a slack's scale
+/// is `1/row_scale`, so its entry stays exactly 1.0.
+///
+/// The CSR side is written row by row straight from the model: a row's
+/// terms are sorted by column, free of duplicates and zeros (a [`Model`]
+/// invariant), and its slack is the last column. Scaled entries that
+/// come out exactly zero are dropped. The CSC side is filled by counting
+/// per column; walking the rows in order keeps each column's rows
+/// ascending.
+fn assemble(model: &Model, s: &scaling::Scaling) -> (CscMatrix, CsrMatrix) {
+    let m = model.num_constraints();
+    let n_struct = model.num_vars();
+    let n = n_struct + m;
+    let cap = model.num_nonzeros() + m;
+    let mut row_start = Vec::with_capacity(m + 1);
+    let mut col_idx = Vec::with_capacity(cap);
+    let mut row_vals = Vec::with_capacity(cap);
+    let mut col_start = vec![0usize; n + 1];
+    row_start.push(0);
+    for (ri, cons) in model.constraints.iter().enumerate() {
+        let rs = s.row_scale[ri];
+        for &(v, coef) in &cons.terms {
+            let val = coef * rs * s.col_scale[v as usize];
+            if val != 0.0 {
+                col_idx.push(v);
+                row_vals.push(val);
+                col_start[v as usize + 1] += 1;
+            }
+        }
+        col_idx.push(u32::try_from(n_struct + ri).expect("column index fits u32"));
+        row_vals.push(1.0);
+        col_start[n_struct + ri + 1] += 1;
+        row_start.push(col_idx.len());
+    }
+    for j in 0..n {
+        col_start[j + 1] += col_start[j];
+    }
+    let nnz = col_idx.len();
+    let mut row_idx = vec![0u32; nnz];
+    let mut col_vals = vec![0.0; nnz];
+    let mut cursor = col_start[..n].to_vec();
+    for ri in 0..m {
+        for t in row_start[ri]..row_start[ri + 1] {
+            let slot = &mut cursor[col_idx[t] as usize];
+            row_idx[*slot] = ri as u32;
+            col_vals[*slot] = row_vals[t];
+            *slot += 1;
+        }
+    }
+    let csc = CscMatrix {
+        nrows: m,
+        ncols: n,
+        col_start,
+        row_idx,
+        values: col_vals,
+    };
+    let csr = CsrMatrix {
+        nrows: m,
+        ncols: n,
+        row_start,
+        col_idx,
+        values: row_vals,
+    };
+    (csc, csr)
+}
+
 /// Bound division that preserves infinities exactly.
 #[inline]
 fn div_bound(bound: f64, scale: f64) -> f64 {
@@ -221,6 +281,89 @@ mod tests {
         let back = sf.unscale_solution(&x_scaled);
         assert!((back[0] - 2.0).abs() < 1e-12);
         assert!((back[1] - 4.0).abs() < 1e-12);
+    }
+
+    /// Reference assembly through the general constructors: per-column
+    /// lists into `CscMatrix::from_columns` (sort, merge, drop zeros),
+    /// then `to_csr`.
+    fn reference_assembly(model: &Model, s: &scaling::Scaling) -> (CscMatrix, CsrMatrix) {
+        let m = model.num_constraints();
+        let n_struct = model.num_vars();
+        let mut columns: Vec<Vec<(u32, f64)>> = vec![Vec::new(); n_struct + m];
+        for (ri, cons) in model.constraints.iter().enumerate() {
+            for &(v, coef) in &cons.terms {
+                columns[v as usize]
+                    .push((ri as u32, coef * s.row_scale[ri] * s.col_scale[v as usize]));
+            }
+            columns[n_struct + ri].push((ri as u32, 1.0));
+        }
+        let a = CscMatrix::from_columns(m, &columns);
+        let a_csr = a.to_csr();
+        (a, a_csr)
+    }
+
+    #[test]
+    fn direct_assembly_matches_reference() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(41);
+        // Magnitudes as far apart as equilibration accepts.
+        let mags = [1e-150, 1e-9, 0.5, 1.0, 3.0, 1e6, 1e150];
+        for trial in 0..200 {
+            let sense = if rng.gen_bool(0.5) {
+                Sense::Minimize
+            } else {
+                Sense::Maximize
+            };
+            let mut model = Model::new(sense);
+            let nv = rng.gen_range(0..8);
+            let vars: Vec<_> = (0..nv)
+                .map(|j| model.add_var(format!("x{j}"), 0.0, 1.0 + j as f64, 1.0))
+                .collect();
+            for _ in 0..rng.gen_range(0..8) {
+                // Some rows stay empty; some variables appear in no row.
+                let mut terms = Vec::new();
+                if nv > 0 && rng.gen_bool(0.8) {
+                    for _ in 0..rng.gen_range(1..6) {
+                        let v = vars[rng.gen_range(0..nv)];
+                        let mag = mags[rng.gen_range(0..mags.len())];
+                        let sign = if rng.gen_bool(0.5) { 1.0 } else { -1.0 };
+                        terms.push((v, sign * mag));
+                    }
+                }
+                let cmp = match rng.gen_range(0..3) {
+                    0 => Cmp::Le,
+                    1 => Cmp::Ge,
+                    _ => Cmp::Eq,
+                };
+                let c = model.add_constraint(terms, cmp, rng.gen_range(-5.0..5.0));
+                if nv > 0 && rng.gen_bool(0.3) {
+                    model.add_term(c, vars[rng.gen_range(0..nv)], 2.0);
+                }
+            }
+            for scale in [false, true] {
+                let sf = StdForm::build(&model, scale);
+                let (a, a_csr) = reference_assembly(&model, &scaling_of(&model, scale));
+                let ctx = format!("trial {trial} scale {scale}");
+                assert_eq!((sf.a.nrows, sf.a.ncols), (a.nrows, a.ncols), "{ctx}");
+                assert_eq!(sf.a.col_start, a.col_start, "{ctx}");
+                assert_eq!(sf.a.row_idx, a.row_idx, "{ctx}");
+                assert_eq!(bits(&sf.a.values), bits(&a.values), "{ctx}");
+                assert_eq!(
+                    (sf.a_csr.nrows, sf.a_csr.ncols),
+                    (a_csr.nrows, a_csr.ncols),
+                    "{ctx}"
+                );
+                assert_eq!(sf.a_csr.row_start, a_csr.row_start, "{ctx}");
+                assert_eq!(sf.a_csr.col_idx, a_csr.col_idx, "{ctx}");
+                assert_eq!(bits(&sf.a_csr.values), bits(&a_csr.values), "{ctx}");
+            }
+        }
+    }
+
+    /// Bit patterns, so the comparison is exact (and NaN-proof).
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
     }
 
     #[test]
