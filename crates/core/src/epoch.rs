@@ -18,7 +18,10 @@
 //! Both steps grow the model when it is too short, with two rules:
 //! `max(needed, ⌈1.5h⌉)` before activating flows past the horizon `h`,
 //! and `⌈1.5h⌉ + 1` after an infeasible solve, at most
-//! [`GROWTH_BUDGET`] times per solve.
+//! [`GROWTH_BUDGET`] times per solve. Both go through
+//! [`TimeIndexedResolver::grow_horizon`]: once the resolver has solved,
+//! the live model grows in place and the next solve stays warm; before
+//! that it is rebuilt from the logs.
 
 use crate::error::CoflowError;
 use crate::heuristic::lp_heuristic;
@@ -33,7 +36,7 @@ use crate::timeidx::LpRelaxation;
 use coflow_lp::{SolveStats, SolverOptions};
 use std::collections::BTreeMap;
 
-/// Horizon-growth rebuilds one solve may spend before it gives up.
+/// Horizon growths one solve may spend before it gives up.
 pub const GROWTH_BUDGET: usize = 8;
 
 /// Maps `(sub coflow, sub flow)` of a sub-instance back to
@@ -133,7 +136,7 @@ impl<'a> EpochDriver<'a> {
     /// # Errors
     ///
     /// LP failures, and horizon growth that does not restore
-    /// feasibility within [`GROWTH_BUDGET`] rebuilds.
+    /// feasibility within [`GROWTH_BUDGET`] growths.
     pub fn event_epoch(
         &mut self,
         epoch: u32,
@@ -309,7 +312,8 @@ impl<'a> EpochDriver<'a> {
         self.lp_stats
     }
 
-    /// Horizon-growth rebuilds so far.
+    /// Horizon growths so far (in place or rebuilt; see
+    /// [`TimeIndexedResolver::grow_horizon`]).
     pub fn rebuilds(&self) -> usize {
         self.rebuilds
     }
@@ -330,7 +334,7 @@ impl<'a> EpochDriver<'a> {
         let h = self.resolver.horizon();
         if !flows.is_empty() && needed > h {
             self.rebuilds += 1;
-            self.resolver.rebuild(needed.max(grown(h)))?;
+            self.resolver.grow_horizon(needed.max(grown(h)))?;
         }
         for &(j, i) in flows {
             self.resolver.activate_flow(j, i, first_slot)?;
@@ -354,7 +358,8 @@ impl<'a> EpochDriver<'a> {
             }
             budget -= 1;
             self.rebuilds += 1;
-            self.resolver.rebuild(grown(self.resolver.horizon()) + 1)?;
+            self.resolver
+                .grow_horizon(grown(self.resolver.horizon()) + 1)?;
         };
         self.lp_stats.merge(&lp.stats);
         self.epoch_objectives.push(lp.objective);

@@ -69,8 +69,8 @@ pub struct OnlineOutcome {
     /// With [`OnlineOptions::shadow_cold`]: each epoch's cold objective
     /// (must match [`OnlineOutcome::epoch_objectives`] to LP tolerance).
     pub cold_objectives: Option<Vec<f64>>,
-    /// Horizon-growth rebuilds the resolver needed (0 in the common
-    /// case: the initial greedy estimate covered the whole run).
+    /// Horizon growths the resolver needed, in place or rebuilt (0 when
+    /// the initial greedy estimate covered the whole run).
     pub rebuilds: usize,
 }
 

@@ -17,7 +17,16 @@
 //! * **execution** — the fractions actually transmitted in the window
 //!   just played are frozen with [`fix_slot`](TimeIndexedResolver::fix_slot)
 //!   (bound changes keep the basis dual feasible), so the next re-solve
-//!   schedules only the remaining work.
+//!   schedules only the remaining work;
+//! * **growth** — when arrivals land past the horizon, or an epoch is
+//!   infeasible because the composed online schedule outgrew the
+//!   horizon estimate, the caller grows the horizon with
+//!   [`grow_horizon`](TimeIndexedResolver::grow_horizon). The live model
+//!   is extended in place (new slots for every active flow, demand rows
+//!   moved to the new last prefix, coflow chains and completion rows
+//!   extended) and the basis grows with it, so the next solve is warm.
+//!   Growth is common, not rare: perfbench's `serve_fleet` workload
+//!   grows about once per tenant.
 //!
 //! The model lives on the *global* timeline of the original instance:
 //! flow variables start at the flow's activation slot, and executed
@@ -30,17 +39,15 @@
 //! (the `--cold` escape hatch) to re-solve every epoch from the
 //! all-slack crash basis instead, for A/B iteration measurements.
 //!
-//! When capacity or horizon pressure makes an epoch infeasible (the
-//! composed online schedule outgrew the initial horizon estimate), the
-//! caller grows the horizon with
-//! [`Self::rebuild`](TimeIndexedResolver::rebuild): the activation and fix
-//! logs are replayed into a fresh, larger model and solving restarts
-//! cold — rare, bounded, and self-healing.
+//! [`rebuild`](TimeIndexedResolver::rebuild) replays the activation and
+//! fix logs into a fresh model. It serves only resolvers that have never
+//! solved (no basis to keep) and journal recovery, which builds once from
+//! restored logs.
 
 use crate::error::CoflowError;
 use crate::model::{Coflow, CoflowInstance};
 use crate::routing::Routing;
-use crate::timeidx::{self, Built, FlowVars, LpRelaxation, LpSize};
+use crate::timeidx::{self, Built, FlowVars, LpRelaxation, LpSize, XChain};
 use coflow_lp::{slot_block_crash, Basis, Cmp, ConstraintId, Model, Pricing, SolverOptions, VarId};
 use coflow_netgraph::EdgeId;
 use std::borrow::Cow;
@@ -414,9 +421,44 @@ impl<'a> TimeIndexedResolver<'a> {
         }
     }
 
-    /// Rebuilds the model over a larger horizon, replaying every
-    /// activation and executed-slot fix. The basis is dropped (the next
-    /// solve is cold). Panics if the horizon shrinks.
+    /// Grows the global horizon to `new_horizon` — the one growth entry
+    /// point of the epoch loops. A resolver that has solved extends its
+    /// live model in place: every active flow gets the new slots, its
+    /// demand row moves to the new last prefix, every coflow chain gains
+    /// the new `X_j(t)` and its completion right-hand side becomes
+    /// `1 + new_horizon`. The kept basis grows with the model, so the
+    /// next solve is warm: the dual simplex flips the new `X` columns to
+    /// their upper bound and repairs the rest. A resolver that has never
+    /// solved has no basis worth keeping and
+    /// [`rebuild`](Self::rebuild)s from its logs instead. Panics if the
+    /// horizon shrinks.
+    ///
+    /// # Errors
+    ///
+    /// As [`rebuild`](Self::rebuild), on the rebuild path only.
+    pub fn grow_horizon(&mut self, new_horizon: u32) -> Result<(), CoflowError> {
+        assert!(
+            new_horizon >= self.horizon,
+            "resolver horizon cannot shrink ({} -> {new_horizon})",
+            self.horizon
+        );
+        if !self.solved_once {
+            return self.rebuild(new_horizon);
+        }
+        if new_horizon > self.horizon {
+            self.grow_in_place(new_horizon);
+        }
+        Ok(())
+    }
+
+    /// Rebuilds the model over a (possibly larger) horizon from the
+    /// activation and fix logs, dropping the basis: the next solve
+    /// starts from the slot-block crash instead (or cold when `warm` is
+    /// off). Growth goes through [`grow_horizon`](Self::grow_horizon),
+    /// which rebuilds only a resolver that has never solved; the other
+    /// caller is journal recovery, which builds once from restored logs
+    /// ([`restore_logs`](Self::restore_logs)). Panics if the horizon
+    /// shrinks.
     ///
     /// # Errors
     ///
@@ -488,55 +530,132 @@ impl<'a> TimeIndexedResolver<'a> {
     fn append_flow(&mut self, j: usize, i: usize, first_slot: u32) {
         let t_max = self.horizon;
         let built = self.built.as_mut().expect("append after build");
-        let model = &mut built.model;
-        let g = &self.inst.graph;
-        let f = &self.inst.coflows[j].flows[i];
-        let nslots = (t_max + 1 - first_slot) as usize;
-
-        // ---- Variables (same per-flow layout as the offline build) ----
-        let mut fv = FlowVars {
+        built.flow_vars[j][i] = FlowVars {
             start: first_slot,
-            x: Vec::new(),
-            s: Vec::new(),
-            paths: Vec::new(),
-            edges: Vec::new(),
+            ..FlowVars::inactive()
         };
-        match &*self.routing {
-            Routing::SinglePath(_) | Routing::FreePath => {
-                fv.x = (0..nslots)
+        self.emit_slots(j, i, first_slot, t_max);
+
+        // ---- Coflow completion structure ----
+        let built = self.built.as_mut().expect("append after build");
+        let model = &mut built.model;
+        let fv = &built.flow_vars[j][i];
+        match &mut built.x_coflow[j] {
+            slot @ None => {
+                // First active flow of this coflow: X_j spans its slots.
+                let x: Vec<VarId> = (first_slot..=t_max)
                     .map(|_| model.add_var("", 0.0, 1.0, 0.0))
                     .collect();
+                let c = model.add_var("", 1.0, f64::INFINITY, self.inst.coflows[j].weight);
+                link_rows(model, fv, first_slot, &x, first_slot..=t_max);
+                let mut terms: Vec<(VarId, f64)> = vec![(c, 1.0)];
+                terms.extend(x.iter().map(|&v| (v, 1.0)));
+                let completion = model.add_constraint(terms, Cmp::Ge, 1.0 + t_max as f64);
+                *slot = Some(XChain {
+                    start: first_slot,
+                    x,
+                    completion,
+                });
+                built.c_vars[j] = Some(c);
             }
-            Routing::MultiPath(sets) => {
-                fv.paths = sets[j][i]
-                    .iter()
-                    .map(|_| {
-                        (0..nslots)
-                            .map(|_| model.add_var("", 0.0, 1.0, 0.0))
-                            .collect()
-                    })
-                    .collect();
+            Some(chain) => {
+                // A later flow joined: the coflow cannot have completed
+                // before this flow's first slot — clamp earlier X to 0 —
+                // and from then on X is bounded by the new flow's prefix.
+                for t in chain.start..first_slot.max(chain.start) {
+                    model.set_bounds(chain.x[(t - chain.start) as usize], 0.0, 0.0);
+                }
+                let from = first_slot.max(chain.start);
+                link_rows(model, fv, chain.start, &chain.x, from..=t_max);
             }
         }
-        fv.s = (0..nslots)
-            .map(|_| model.add_var("", 0.0, 1.0, 0.0))
-            .collect();
+        if let Some(b) = &mut self.basis {
+            b.grow(model.num_vars(), model.num_constraints());
+        }
+    }
+
+    /// Extends the live model from the horizon `T` to `new_horizon`: every
+    /// active flow gets slots `T+1 ..= new_horizon` and its demand row
+    /// moves to the new last prefix; every coflow chain gets the new
+    /// `X_j(t)`, linked to each active flow, in its completion row, whose
+    /// right-hand side becomes `1 + new_horizon`. The kept basis grows
+    /// with the model.
+    fn grow_in_place(&mut self, new_horizon: u32) {
+        let from = self.horizon + 1;
+        self.horizon = new_horizon;
+        // The activation log names every active flow once.
+        for k in 0..self.activations.len() {
+            let (j, i, _) = self.activations[k];
+            self.emit_slots(j, i, from, new_horizon);
+        }
+        let built = self.built.as_mut().expect("grow after build");
+        let model = &mut built.model;
+        for (chain, flows) in built.x_coflow.iter_mut().zip(&built.flow_vars) {
+            let Some(chain) = chain else {
+                continue;
+            };
+            let first_new = chain.x.len();
+            chain
+                .x
+                .extend((from..=new_horizon).map(|_| model.add_var("", 0.0, 1.0, 0.0)));
+            for fv in flows.iter().filter(|fv| !fv.s.is_empty()) {
+                link_rows(model, fv, chain.start, &chain.x, from..=new_horizon);
+            }
+            for &xv in &chain.x[first_new..] {
+                model.add_term(chain.completion, xv, 1.0);
+            }
+            model.set_rhs(chain.completion, 1.0 + f64::from(new_horizon));
+        }
+        if let Some(b) = &mut self.basis {
+            b.grow(model.num_vars(), model.num_constraints());
+        }
+    }
+
+    /// Emits slots `from ..= to` of flow `(j, i)`, whose variables start
+    /// at `flow_vars[j][i].start` and so far end at `from - 1`: the slot
+    /// variables (per kind, in the offline build's per-flow layout), the
+    /// prefix rows, the demand row on the new last prefix (added for a
+    /// new flow, moved for a grown one), and the capacity terms — plus
+    /// the conservation rows under free path.
+    fn emit_slots(&mut self, j: usize, i: usize, from: u32, to: u32) {
+        let built = self.built.as_mut().expect("emit after build");
+        let model = &mut built.model;
+        let fv = &mut built.flow_vars[j][i];
+        let g = &self.inst.graph;
+        let f = &self.inst.coflows[j].flows[i];
+        let slots = (from - fv.start) as usize..(to + 1 - fv.start) as usize;
+        let new_vars = |model: &mut Model| -> Vec<VarId> {
+            slots
+                .clone()
+                .map(|_| model.add_var("", 0.0, 1.0, 0.0))
+                .collect()
+        };
+
+        // ---- Variables ----
+        match &*self.routing {
+            Routing::SinglePath(_) | Routing::FreePath => fv.x.extend(new_vars(model)),
+            Routing::MultiPath(sets) => {
+                fv.paths.resize_with(sets[j][i].len(), Vec::new);
+                for pv in &mut fv.paths {
+                    pv.extend(new_vars(model));
+                }
+            }
+        }
+        fv.s.extend(new_vars(model));
         if matches!(&*self.routing, Routing::FreePath) {
-            fv.edges = timeidx::free_path_mask(g, f.src, f.dst)
-                .into_iter()
-                .map(|e| {
-                    (
-                        e,
-                        (0..nslots)
-                            .map(|_| model.add_var("", 0.0, 1.0, 0.0))
-                            .collect(),
-                    )
-                })
-                .collect();
+            if fv.edges.is_empty() {
+                fv.edges = timeidx::free_path_mask(g, f.src, f.dst)
+                    .into_iter()
+                    .map(|e| (e, Vec::new()))
+                    .collect();
+            }
+            for (_, vars) in &mut fv.edges {
+                vars.extend(new_vars(model));
+            }
         }
 
         // ---- Prefix chain + total demand ----
-        for idx in 0..nslots {
+        for idx in slots.clone() {
             let mut terms: Vec<(VarId, f64)> = vec![(fv.s[idx], 1.0)];
             if idx > 0 {
                 terms.push((fv.s[idx - 1], -1.0));
@@ -551,40 +670,36 @@ impl<'a> TimeIndexedResolver<'a> {
             }
             model.add_constraint(terms, Cmp::Eq, 0.0);
         }
-        model.add_constraint([(fv.s[nslots - 1], 1.0)], Cmp::Eq, 1.0);
+        let last = fv.s[slots.end - 1];
+        match fv.demand {
+            None => fv.demand = Some(model.add_constraint([(last, 1.0)], Cmp::Eq, 1.0)),
+            Some(row) => {
+                // `S_f(T) = 1` becomes `S_f(T') = 1`.
+                model.add_term(row, fv.s[slots.start - 1], -1.0);
+                model.add_term(row, last, 1.0);
+            }
+        }
 
         // ---- Capacity (and conservation for free path) ----
+        let mut cap = |model: &mut Model, t: u32, e: EdgeId, v: VarId| {
+            let row = Self::capacity_row(&mut self.cap_index, &mut built.cap_rows, model, g, t, e);
+            model.add_term(row, v, f.demand);
+        };
         match &*self.routing {
             Routing::SinglePath(paths) => {
-                for (idx, &xv) in fv.x.iter().enumerate() {
-                    let t = first_slot + idx as u32;
+                for idx in slots {
+                    let t = fv.start + idx as u32;
                     for &e in paths[j][i].edges() {
-                        let row = Self::capacity_row(
-                            &mut self.cap_index,
-                            &mut built.cap_rows,
-                            model,
-                            g,
-                            t,
-                            e,
-                        );
-                        model.add_term(row, xv, f.demand);
+                        cap(model, t, e, fv.x[idx]);
                     }
                 }
             }
             Routing::MultiPath(sets) => {
                 for (k, path) in sets[j][i].iter().enumerate() {
-                    for (idx, &pv) in fv.paths[k].iter().enumerate() {
-                        let t = first_slot + idx as u32;
+                    for idx in slots.clone() {
+                        let t = fv.start + idx as u32;
                         for &e in path.edges() {
-                            let row = Self::capacity_row(
-                                &mut self.cap_index,
-                                &mut built.cap_rows,
-                                model,
-                                g,
-                                t,
-                                e,
-                            );
-                            model.add_term(row, pv, f.demand);
+                            cap(model, t, e, fv.paths[k][idx]);
                         }
                     }
                 }
@@ -596,8 +711,8 @@ impl<'a> TimeIndexedResolver<'a> {
                     incident.entry(g.src(e)).or_default().1.push(pos); // out
                     incident.entry(g.dst(e)).or_default().0.push(pos); // in
                 }
-                for idx in 0..nslots {
-                    let t = first_slot + idx as u32;
+                for idx in slots {
+                    let t = fv.start + idx as u32;
                     for (&v, (ins, outs)) in &incident {
                         let mut terms: Vec<(VarId, f64)> = Vec::new();
                         if v == f.src {
@@ -621,56 +736,10 @@ impl<'a> TimeIndexedResolver<'a> {
                         model.add_constraint(terms, Cmp::Eq, 0.0);
                     }
                     for &(e, ref vars) in &fv.edges {
-                        let row = Self::capacity_row(
-                            &mut self.cap_index,
-                            &mut built.cap_rows,
-                            model,
-                            g,
-                            t,
-                            e,
-                        );
-                        model.add_term(row, vars[idx], f.demand);
+                        cap(model, t, e, vars[idx]);
                     }
                 }
             }
-        }
-
-        // ---- Coflow completion structure ----
-        match &mut built.x_coflow[j] {
-            slot @ None => {
-                // First active flow of this coflow: X_j spans its slots.
-                let xvars: Vec<VarId> = (0..nslots)
-                    .map(|_| model.add_var("", 0.0, 1.0, 0.0))
-                    .collect();
-                let c = model.add_var("", 1.0, f64::INFINITY, self.inst.coflows[j].weight);
-                for (idx, &xv) in xvars.iter().enumerate() {
-                    model.add_constraint([(fv.s[idx], 1.0), (xv, -1.0)], Cmp::Ge, 0.0);
-                }
-                let mut terms: Vec<(VarId, f64)> = vec![(c, 1.0)];
-                terms.extend(xvars.iter().map(|&v| (v, 1.0)));
-                model.add_constraint(terms, Cmp::Ge, 1.0 + t_max as f64);
-                *slot = Some((first_slot, xvars));
-                built.c_vars[j] = Some(c);
-            }
-            Some((xstart, xvars)) => {
-                // A later flow joined: the coflow cannot have completed
-                // before this flow's first slot — clamp earlier X to 0 —
-                // and from then on X is bounded by the new flow's prefix.
-                for t in *xstart..first_slot.max(*xstart) {
-                    let xi = (t - *xstart) as usize;
-                    model.set_bounds(xvars[xi], 0.0, 0.0);
-                }
-                for t in first_slot.max(*xstart)..=t_max {
-                    let xi = (t - *xstart) as usize;
-                    let si = (t - first_slot) as usize;
-                    model.add_constraint([(fv.s[si], 1.0), (xvars[xi], -1.0)], Cmp::Ge, 0.0);
-                }
-            }
-        }
-
-        built.flow_vars[j][i] = fv;
-        if let Some(b) = &mut self.basis {
-            b.grow(model.num_vars(), model.num_constraints());
         }
     }
 
@@ -715,6 +784,22 @@ impl<'a> TimeIndexedResolver<'a> {
                 }
             }
         }
+    }
+}
+
+/// Adds the progress rows `S_f(t) ≥ X_j(t)` (constraint (2)) of flow
+/// `fv` for `slots`, against the chain `x` that starts at `x_start`.
+fn link_rows(
+    model: &mut Model,
+    fv: &FlowVars,
+    x_start: u32,
+    x: &[VarId],
+    slots: std::ops::RangeInclusive<u32>,
+) {
+    for t in slots {
+        let s = fv.s[(t - fv.start) as usize];
+        let xv = x[(t - x_start) as usize];
+        model.add_constraint([(s, 1.0), (xv, -1.0)], Cmp::Ge, 0.0);
     }
 }
 
@@ -869,5 +954,146 @@ mod tests {
         // optimum in place, while the replayed fix can only restrict.
         assert!(b.objective >= a.objective - 1e-6);
         assert_eq!(r.horizon(), t0 * 2);
+    }
+
+    /// Two coflows that share `s → t` traffic plus a unit coflow, on
+    /// the Figure-2 network (every edge capacity 1, cut into `t` of 3).
+    fn growth_instance() -> CoflowInstance {
+        let g = topology::fig2_example().graph;
+        let node = |l: &str| g.node_by_label(l).unwrap();
+        let (s, t) = (node("s"), node("t"));
+        CoflowInstance::new(
+            g.clone(),
+            vec![
+                Coflow::weighted(
+                    2.0,
+                    vec![Flow::new(node("v1"), t, 1.0), Flow::new(s, t, 2.0)],
+                ),
+                Coflow::weighted(1.0, vec![Flow::new(node("v2"), t, 1.0)]),
+                Coflow::weighted(
+                    3.0,
+                    vec![Flow::new(node("v3"), t, 1.0), Flow::new(s, t, 1.0)],
+                ),
+            ],
+        )
+        .unwrap()
+    }
+
+    fn growth_routings(inst: &CoflowInstance) -> Vec<Routing> {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        vec![
+            Routing::FreePath,
+            crate::routing::random_shortest_paths(inst, &mut rng).unwrap(),
+            crate::routing::k_shortest_path_sets(inst, 3).unwrap(),
+        ]
+    }
+
+    /// Grows `r` to `t` and checks that it grew in place.
+    fn grow(r: &mut TimeIndexedResolver<'_>, t: u32) {
+        r.grow_horizon(t).unwrap();
+        assert_eq!(r.horizon(), t);
+        assert!(r.solved_once, "a solved resolver grows in place");
+    }
+
+    /// The grown model is the LP a rebuild from the same logs at the same
+    /// horizon builds, and it re-solves warm to the cold optimum.
+    fn assert_matches_rebuild(r: &mut TimeIndexedResolver<'_>, opts: &SolverOptions) {
+        let (grown, _) = r.probe_cold(opts).unwrap().expect("grown model feasible");
+        let mut fresh = TimeIndexedResolver::new_owned(
+            r.instance().clone(),
+            r.routing().clone(),
+            r.horizon(),
+            true,
+        )
+        .unwrap();
+        fresh.restore_logs(r.activations().to_vec(), r.fixes().to_vec());
+        fresh.rebuild(r.horizon()).unwrap();
+        let (rebuilt, _) = fresh.probe_cold(opts).unwrap().expect("rebuilt feasible");
+        assert!(
+            (grown - rebuilt).abs() <= 1e-9 * (1.0 + rebuilt.abs()),
+            "grown {grown} vs rebuilt {rebuilt}"
+        );
+        let warm = r.solve(opts).unwrap().expect("feasible after growth");
+        assert!(r.last_was_warm());
+        assert!(
+            (warm.objective - grown).abs() <= 1e-6 * (1.0 + grown.abs()),
+            "warm {} vs cold probe {grown}",
+            warm.objective
+        );
+    }
+
+    /// Freezes `slot` of every flow active by then at the fraction `lp`
+    /// planned for it (multi-path adds fix rows).
+    fn fix_as_planned(r: &mut TimeIndexedResolver<'_>, lp: &LpRelaxation, slot: u32) {
+        let active: Vec<(usize, usize, u32)> = r.activations().to_vec();
+        for (j, i, first) in active.into_iter().filter(|a| a.2 <= slot) {
+            let _ = first;
+            let demand = r.instance().coflows[j].flows[i].demand;
+            let vol: f64 = lp.plan.flows[j][i]
+                .segments
+                .iter()
+                .filter(|seg| seg.t1 == f64::from(slot))
+                .map(|seg| seg.volume())
+                .sum();
+            r.fix_slot(j, i, slot, vol / demand);
+        }
+    }
+
+    #[test]
+    fn growth_in_place_matches_a_rebuild_from_the_logs() {
+        let inst = growth_instance();
+        let opts = SolverOptions::default();
+        for routing in growth_routings(&inst) {
+            let mut r = TimeIndexedResolver::new(&inst, &routing, 6, true).unwrap();
+            r.activate_flow(0, 0, 1).unwrap();
+            r.activate_flow(1, 0, 1).unwrap();
+            r.solve(&opts).unwrap().expect("feasible");
+            // Coflow 0's second flow joins late: its X chain started at
+            // slot 1 and is clamped to 0 before slot 3.
+            r.activate_flow(0, 1, 3).unwrap();
+            let lp = r.solve(&opts).unwrap().expect("feasible");
+            fix_as_planned(&mut r, &lp, 1);
+            fix_as_planned(&mut r, &lp, 2);
+            grow(&mut r, 8);
+            assert_matches_rebuild(&mut r, &opts);
+            // Grow before activating past the old horizon.
+            grow(&mut r, 12);
+            r.activate_flow(2, 0, 10).unwrap();
+            r.activate_flow(2, 1, 10).unwrap();
+            assert_matches_rebuild(&mut r, &opts);
+        }
+    }
+
+    #[test]
+    fn growth_after_an_infeasible_warm_solve_resolves_warm() {
+        let inst = growth_instance();
+        let opts = SolverOptions::default();
+        for routing in growth_routings(&inst) {
+            let mut r = TimeIndexedResolver::new(&inst, &routing, 3, true).unwrap();
+            r.activate_flow(0, 0, 1).unwrap();
+            r.activate_flow(1, 0, 1).unwrap();
+            r.solve(&opts).unwrap().expect("feasible");
+            // Four units into `t` in the last slot, whose cut is 3.
+            r.activate_flow(0, 1, 3).unwrap();
+            r.activate_flow(2, 0, 3).unwrap();
+            r.activate_flow(2, 1, 3).unwrap();
+            assert!(r.solve(&opts).unwrap().is_none(), "{routing:?}");
+            assert!(r.last_was_warm());
+            grow(&mut r, 6);
+            assert_matches_rebuild(&mut r, &opts);
+        }
+    }
+
+    #[test]
+    fn growth_before_the_first_solve_rebuilds() {
+        let inst = growth_instance();
+        let opts = SolverOptions::default();
+        let mut r = TimeIndexedResolver::new(&inst, &Routing::FreePath, 2, true).unwrap();
+        r.activate_flow(0, 0, 1).unwrap();
+        r.grow_horizon(5).unwrap();
+        assert!(!r.solved_once);
+        r.activate_flow(1, 0, 4).unwrap();
+        assert!(r.solve(&opts).unwrap().is_some());
     }
 }

@@ -510,7 +510,7 @@ impl CoflowSolver for DerandSolver {
 /// [`CoflowSolver`]: a persistent warm-started LP by default, all-slack
 /// re-solves with `cold` (the `--cold` A/B escape hatch). Extras:
 /// `resolves` — LP re-solves performed; `lp_iterations` — total simplex
-/// iterations across them; `rebuilds` — horizon-growth rebuilds.
+/// iterations across them; `rebuilds` — horizon growths.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct OnlineSolver {
     /// Re-solve every epoch from the all-slack crash basis.

@@ -82,6 +82,8 @@ pub(crate) struct FlowVars {
     pub(crate) paths: Vec<Vec<VarId>>,
     /// Free path: per masked edge, per slot.
     pub(crate) edges: Vec<(EdgeId, Vec<VarId>)>,
+    /// The total-demand row `S_f(T) = 1`; `None` while inactive.
+    pub(crate) demand: Option<ConstraintId>,
 }
 
 impl FlowVars {
@@ -94,8 +96,19 @@ impl FlowVars {
             s: Vec::new(),
             paths: Vec::new(),
             edges: Vec::new(),
+            demand: None,
         }
     }
+}
+
+/// A coflow's progress chain `X_j(t)` and its completion row (3).
+pub(crate) struct XChain {
+    /// Slot of the chain's first variable.
+    pub(crate) start: u32,
+    /// `X_j(t)` for `t = start ..= T`.
+    pub(crate) x: Vec<VarId>,
+    /// The row `C_j + Σ_t X_j(t) ≥ 1 + T`.
+    pub(crate) completion: ConstraintId,
 }
 
 /// Builds and solves the time-indexed LP.
@@ -158,9 +171,9 @@ pub(crate) struct Built {
     /// Per-coflow completion variable; `None` when the coflow has no
     /// active flow (resolver builds over a subset).
     pub(crate) c_vars: Vec<Option<VarId>>,
-    /// Per-coflow progress variables `X_j(t)` with their first slot;
-    /// `None` when the coflow has no active flow.
-    pub(crate) x_coflow: Vec<Option<(u32, Vec<VarId>)>>,
+    /// Per-coflow progress chain and completion row; `None` when the
+    /// coflow has no active flow.
+    pub(crate) x_coflow: Vec<Option<XChain>>,
     /// Capacity rows, one per `(slot, edge)` bucket; used by
     /// [`crate::sensitivity`] to re-target RHS values and by
     /// [`crate::resolver`] to stitch appended flows into shared rows.
@@ -226,10 +239,7 @@ pub(crate) fn build_with_starts(
             let nslots = (t_max + 1 - start) as usize;
             let mut fv = FlowVars {
                 start,
-                x: Vec::new(),
-                s: Vec::new(),
-                paths: Vec::new(),
-                edges: Vec::new(),
+                ..FlowVars::inactive()
             };
             match routing {
                 Routing::SinglePath(_) | Routing::FreePath => {
@@ -274,16 +284,16 @@ pub(crate) fn build_with_starts(
 
     // X_j(t) and C_j (only for coflows with at least one active flow;
     // their X chain starts at the latest active flow's first slot).
-    let mut x_coflow: Vec<Option<(u32, Vec<VarId>)>> = Vec::with_capacity(inst.num_coflows());
+    let mut chains: Vec<Option<(u32, Vec<VarId>)>> = Vec::with_capacity(inst.num_coflows());
     let mut c_vars: Vec<Option<VarId>> = Vec::with_capacity(inst.num_coflows());
     for (j, cf) in inst.coflows.iter().enumerate() {
         let Some(kj) = (0..cf.flows.len()).filter_map(|i| starts[j][i]).max() else {
-            x_coflow.push(None);
+            chains.push(None);
             c_vars.push(None);
             continue;
         };
         let nslots = (t_max + 1 - kj) as usize;
-        x_coflow.push(Some((
+        chains.push(Some((
             kj,
             (0..nslots)
                 .map(|_| model.add_var("", 0.0, 1.0, 0.0))
@@ -296,7 +306,7 @@ pub(crate) fn build_with_starts(
     // Prefix chains + total demand (constraint (1)).
     for (j, cf) in inst.coflows.iter().enumerate() {
         for i in 0..cf.flows.len() {
-            let fv = &flow_vars[j][i];
+            let fv = &mut flow_vars[j][i];
             let nslots = fv.s.len();
             if nslots == 0 {
                 continue; // inactive flow
@@ -317,13 +327,15 @@ pub(crate) fn build_with_starts(
                 }
                 model.add_constraint(terms, Cmp::Eq, 0.0);
             }
-            model.add_constraint([(fv.s[nslots - 1], 1.0)], Cmp::Eq, 1.0);
+            fv.demand = Some(model.add_constraint([(fv.s[nslots - 1], 1.0)], Cmp::Eq, 1.0));
         }
     }
 
     // Coflow progress (2) and completion (3).
+    let mut x_coflow: Vec<Option<XChain>> = Vec::with_capacity(inst.num_coflows());
     for (j, cf) in inst.coflows.iter().enumerate() {
-        let Some((kj, ref xj)) = x_coflow[j] else {
+        let Some((kj, xj)) = chains[j].take() else {
+            x_coflow.push(None);
             continue;
         };
         for (idx, &xvar) in xj.iter().enumerate() {
@@ -342,7 +354,12 @@ pub(crate) fn build_with_starts(
         let mut terms: Vec<(VarId, f64)> =
             vec![(c_vars[j].expect("active coflow has a C var"), 1.0)];
         terms.extend(xj.iter().map(|&v| (v, 1.0)));
-        model.add_constraint(terms, Cmp::Ge, 1.0 + t_max as f64);
+        let completion = model.add_constraint(terms, Cmp::Ge, 1.0 + t_max as f64);
+        x_coflow.push(Some(XChain {
+            start: kj,
+            x: xj,
+            completion,
+        }));
     }
 
     // Capacity rows.

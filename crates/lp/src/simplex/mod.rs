@@ -512,13 +512,18 @@ impl<'a> Simplex<'a> {
 
         // ---- Phase 1 ----
         let mut phase1_retried = false;
+        // The loop guard compacts and sorts the infeasibility list; only
+        // a refactorization (which rebuilds the list) makes it stale
+        // before `phase1_step` reads it.
         while self.max_infeasibility() > self.opt.feas_tol {
             if self.iterations >= self.max_iterations {
                 return Err(LpError::IterationLimit {
                     iterations: self.iterations,
                 });
             }
-            self.maybe_refactor(true)?;
+            if self.maybe_refactor(true)? {
+                self.compact_infeasible();
+            }
             match self.phase1_step()? {
                 StepOutcome::Moved => {
                     phase1_retried = false;
@@ -624,7 +629,8 @@ impl<'a> Simplex<'a> {
     /// Largest bound violation among the listed basics. Every basic
     /// violating a bound by more than half the feasibility tolerance is
     /// listed, so the result decides `> feas_tol` exactly as a scan of all
-    /// `m` basics would.
+    /// `m` basics would. Compacts and sorts the list on the way, which
+    /// is what `phase1_step` expects to find.
     fn max_infeasibility(&mut self) -> f64 {
         self.compact_infeasible();
         let mut worst = 0.0f64;
@@ -857,10 +863,10 @@ impl<'a> Simplex<'a> {
         // Phase-1 costs: +1 above upper bound, -1 below lower bound.
         // Usually only a handful of basics are infeasible, so the cost
         // vector — and the BTRAN behind the pricing pass — is sparse.
-        // Only listed basics can be infeasible; the list is in position
-        // order, as a full scan would visit them.
+        // Only listed basics can be infeasible; the caller compacted the
+        // list into position order, as a full scan would visit them.
         let tol = self.opt.feas_tol;
-        self.compact_infeasible();
+        debug_assert!(self.infeas.windows(2).all(|w| w[0] < w[1]));
         let mut db = std::mem::take(&mut self.rho_work);
         db.clear_to_dim(self.sf.m);
         for &iu in &self.infeas {

@@ -199,7 +199,8 @@ pub struct ServiceOutcome {
     pub cold_iterations: Option<usize>,
     /// LP re-solves across shards.
     pub resolves: usize,
-    /// Horizon-growth rebuilds across shards.
+    /// Horizon growths across shards (in place once a shard's resolver
+    /// has solved, rebuilt before that).
     pub rebuilds: usize,
     /// Engine counters merged over every solve.
     pub lp_stats: SolveStats,
@@ -617,6 +618,21 @@ impl TenantEngine {
     /// deterministic proxy for "the LP tier is doing too much work".
     pub fn resolves(&self) -> usize {
         self.resolves
+    }
+
+    /// LP solves and simplex iterations this engine's resolvers ran,
+    /// as `(solves, iterations)`, counted since the engine was built or
+    /// restored. [`restore`](Self::restore) replays logs without
+    /// solving, so a restored engine starts at `(0, 0)`.
+    pub fn lp_work(&self) -> (usize, usize) {
+        let cores = self.cores.as_deref().unwrap_or_default();
+        cores
+            .iter()
+            .filter_map(EpochCore::driver)
+            .fold((0, 0), |(solves, iters), d| {
+                let r = d.resolver();
+                (solves + r.resolves(), iters + r.total_iterations())
+            })
     }
 
     /// Number of shards actually used.

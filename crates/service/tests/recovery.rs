@@ -5,9 +5,10 @@
 //! objective must be identical to an uninterrupted run's at 1e-6.
 //!
 //! Identity holds because the journal stores the resolver's own
-//! activation/fix logs: recovery rebuilds bit-identical LP models and
-//! the LP optimum is unique, so only basis trajectories (never
-//! objectives) can differ.
+//! activation/fix logs: recovery rebuilds the same LPs (bit-identical
+//! models, or — after a live model grew its horizon in place — the same
+//! constraints in a different row and column order) and the LP optimum
+//! is unique, so only basis trajectories (never objectives) can differ.
 
 use coflow_runtime::Runtime;
 use coflow_service::daemon::{session_with, SessionOptions, SessionSummary};
@@ -29,7 +30,7 @@ fn journal_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// The bundled fixture's header plus its first `n` coflow lines.
+/// The bundled fixture's non-empty lines: its header, then one line per coflow.
 fn fixture_lines() -> Vec<&'static str> {
     FB2010_SAMPLE
         .lines()
@@ -79,10 +80,13 @@ fn close(a: f64, b: f64) -> bool {
     (a - b).abs() <= 1e-6 * (1.0 + b.abs())
 }
 
-#[test]
-fn recovered_lp_session_matches_the_uninterrupted_run() {
+/// Streams the fixture's first `take` coflows uninterrupted, then again
+/// journaled with a crash after `crashed` coflows; hands the crashed
+/// journal to `inspect`, recovers the rest of the stream from it, and
+/// checks that every epoch objective and the `DONE` objective equal the
+/// uninterrupted run's at 1e-6.
+fn assert_recovery_matches(take: usize, crashed: usize, tag: &str, inspect: impl FnOnce(&str)) {
     let lines = fixture_lines();
-    let take = 12; // header + 12 coflows keeps the test fast
     let full: Vec<&str> = lines[..=take].to_vec();
     let golden_input = input_from(&full);
 
@@ -92,20 +96,22 @@ fn recovered_lp_session_matches_the_uninterrupted_run() {
     let golden_epochs = epoch_objectives(&golden_out, "default");
     assert!(!golden_epochs.is_empty(), "{golden_out}");
 
-    // Crashed: same stream, journaled, killed after the 6th coflow.
-    let dir = journal_dir("lp");
+    // Crashed: same stream, journaled, killed after `crashed` coflows
+    // (line 1 is the header).
+    let dir = journal_dir(tag);
     let crash_opts = SessionOptions {
         journal: Some(dir.clone()),
-        fault: FaultPlan::parse("disconnect=7").expect("valid plan"),
+        fault: FaultPlan::parse(&format!("disconnect={}", crashed + 1)).expect("valid plan"),
         ..SessionOptions::default()
     };
     let (crash_summary, crash_out) = run(&golden_input, crash_opts);
-    assert_eq!(crash_summary.admitted, 6, "{crash_out}");
+    assert_eq!(crash_summary.admitted, crashed, "{crash_out}");
     assert!(!crash_out.contains("DONE"), "{crash_out}");
+    inspect(&std::fs::read_to_string(dir.join("default.journal")).expect("crashed journal"));
 
     // Recovered: replay the journal, then feed the rest of the stream.
     let mut rec_lines: Vec<&str> = vec![full[0]]; // re-HELLO (implicit header)
-    rec_lines.extend_from_slice(&full[7..]);
+    rec_lines.extend_from_slice(&full[crashed + 1..]);
     let rec_opts = SessionOptions {
         journal: Some(dir.clone()),
         recover: true,
@@ -114,7 +120,9 @@ fn recovered_lp_session_matches_the_uninterrupted_run() {
     let (rec_summary, rec_out) = run(&input_from(&rec_lines), rec_opts);
     assert_eq!(rec_summary.errors, 0, "{rec_out}");
     assert!(
-        rec_out.contains("INFO tenant=default recovered=1 arrivals=6"),
+        rec_out.contains(&format!(
+            "INFO tenant=default recovered=1 arrivals={crashed}"
+        )),
         "{rec_out}"
     );
 
@@ -145,6 +153,36 @@ fn recovered_lp_session_matches_the_uninterrupted_run() {
     assert!(done.contains("recovered-epochs="), "{done}");
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn recovered_lp_session_matches_the_uninterrupted_run() {
+    // 12 coflows keep the test fast; the crash comes after the 6th.
+    assert_recovery_matches(12, 6, "lp", |_| {});
+}
+
+#[test]
+fn recovery_after_in_place_horizon_growth_matches_the_uninterrupted_run() {
+    // The whole fixture outgrows its first horizon at the 14th coflow;
+    // the crash comes after the 16th, so the crashed run's model grew in
+    // place while recovery rebuilds it from the logs at the grown
+    // horizon.
+    assert_recovery_matches(20, 16, "grown", |journal| {
+        let mut horizons: Vec<&str> = journal
+            .lines()
+            .filter(|l| l.starts_with("STATE "))
+            .filter_map(|l| {
+                l.split_whitespace()
+                    .find_map(|t| t.strip_prefix("horizons="))
+            })
+            .filter(|h| !h.is_empty())
+            .collect();
+        horizons.dedup();
+        assert!(
+            horizons.len() >= 2,
+            "the horizon never grew before the crash: {horizons:?}"
+        );
+    });
 }
 
 #[test]
