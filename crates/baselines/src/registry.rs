@@ -160,18 +160,6 @@ pub struct AlgoParams {
     /// Disable warm-started re-solves in the online frameworks (the
     /// `--cold` escape hatch for A/B measurements; warm is the default).
     pub cold: bool,
-    /// Which LP engine every relaxation and re-solve runs on (the
-    /// `--lp-engine` escape hatch; the sparse revised simplex is the
-    /// default, `Dense` falls back to the tableau oracle).
-    pub engine: coflow_lp::LpEngine,
-    /// Entering-variable pricing rule for the sparse engine
-    /// (`--pricing`; Devex by default, with warm epoch re-solves
-    /// upgrading to dual steepest edge inside the resolver).
-    pub pricing: coflow_lp::Pricing,
-    /// Basis-update scheme between refactorizations (`--basis-update`;
-    /// Forrest–Tomlin by default, `Eta` keeps the product-form chain as
-    /// the differential oracle).
-    pub basis_update: coflow_lp::BasisUpdate,
 }
 
 impl Default for AlgoParams {
@@ -185,9 +173,6 @@ impl Default for AlgoParams {
             alpha: 0.5,
             compact: true,
             cold: false,
-            engine: coflow_lp::LpEngine::default(),
-            pricing: coflow_lp::Pricing::Devex,
-            basis_update: coflow_lp::BasisUpdate::ForrestTomlin,
         }
     }
 }

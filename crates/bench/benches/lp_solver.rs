@@ -1,8 +1,8 @@
-//! Criterion benchmarks for the LP solver substrate, including the two
-//! design ablations called out in `DESIGN.md` §6:
+//! Criterion benchmarks for the LP solver substrate:
 //!
-//! * `pricing/…` — Devex vs Dantzig entering rules on a coflow LP;
-//! * `bounds/…` — implicit variable bounds vs explicit `x ≤ 1` rows.
+//! * `pricing/devex_full` — the default Devex full pricing on a coflow LP;
+//! * `bounds/…` — the design ablation called out in `DESIGN.md` §6:
+//!   implicit variable bounds vs explicit `x ≤ 1` rows.
 
 #![allow(clippy::needless_range_loop)] // parallel-array LP fixtures
 
@@ -74,24 +74,14 @@ fn coflow_lp_model() -> (coflow_core::model::CoflowInstance, u32) {
     (inst, t)
 }
 
-fn bench_pricing_ablation(c: &mut Criterion) {
+fn bench_pricing(c: &mut Criterion) {
     let (inst, t) = coflow_lp_model();
     let mut group = c.benchmark_group("pricing");
     group.sample_size(10);
-    for (name, pricing, block) in [
-        ("devex_full", coflow_lp::Pricing::Devex, 0usize),
-        ("devex_partial_4096", coflow_lp::Pricing::Devex, 4096),
-        ("dantzig_full", coflow_lp::Pricing::Dantzig, 0),
-    ] {
-        let opts = SolverOptions {
-            pricing,
-            partial_pricing_block: block,
-            ..Default::default()
-        };
-        group.bench_function(name, |b| {
-            b.iter(|| solve_time_indexed(&inst, &Routing::FreePath, t, &opts).expect("solves"))
-        });
-    }
+    let opts = SolverOptions::default();
+    group.bench_function("devex_full", |b| {
+        b.iter(|| solve_time_indexed(&inst, &Routing::FreePath, t, &opts).expect("solves"))
+    });
     group.finish();
 }
 
@@ -152,7 +142,7 @@ fn bench_bounds_ablation(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_transportation_scaling,
-    bench_pricing_ablation,
+    bench_pricing,
     bench_bounds_ablation
 );
 criterion_main!(benches);

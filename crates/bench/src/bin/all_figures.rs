@@ -4,14 +4,13 @@
 //!
 //! All twelve figures are described as [`FigureSpec`]s and handed to
 //! one [`compute_figures`] call, which flattens their ~55 scenario
-//! points into a single batch for the work-stealing [`SweepPool`] — a
+//! points into a single batch for the work-stealing [`Runtime`] — a
 //! slow point in one figure never idles workers that could be computing
 //! another figure. Per-point seeded RNG keeps the output byte-identical
 //! for a given `--seed`, regardless of worker count.
 //!
 //! `cargo run -p coflow-bench --release --bin all_figures -- --jobs 16`
 
-use coflow_bench::parallel::SweepPool;
 use coflow_bench::runner::{
     compute_figures, epsilon_figure_spec, free_unweighted_figure_spec, lambda_figure_spec,
     online_ablation_spec, ordering_ablation_spec, scenario_library_spec, single_path_figure_spec,
@@ -19,6 +18,7 @@ use coflow_bench::runner::{
 };
 use coflow_bench::{print_figure, write_csv, HarnessConfig};
 use coflow_netgraph::topology;
+use coflow_runtime::Runtime;
 
 fn main() {
     let cfg = HarnessConfig::from_args(12);
@@ -41,7 +41,7 @@ fn main() {
         trace_replay_spec(&cfg),
     ];
 
-    let pool = SweepPool::new();
+    let pool = Runtime::new();
     if cfg.verbose {
         eprintln!(
             "[all_figures] {} figures, {} points, {} workers",

@@ -10,7 +10,7 @@
 //!    instrumented with a *shadow cold solve*: every epoch's exact LP is
 //!    additionally solved from the all-slack crash basis, so warm and
 //!    cold iteration counts compare the *same* LP sequence and their
-//!    objectives must agree to LP tolerance. A separate `--cold`
+//!    objectives must agree to 1e-9. A separate `--cold`
 //!    trajectory run provides the end-to-end wall-clock A/B.
 //! 2. **ε sweep** — the geometric-interval LP across an ε ladder,
 //!    chained (each point crashes from the previous basis) vs cold.
@@ -33,16 +33,7 @@
 //!    (Sincronia's primal-dual guarantee on the big switch) at ≥ 10×
 //!    the speed (full suite only; `--quick` checks the cost ratio on a
 //!    small instance where the wall-clock gap is noise).
-//! 7. **FT vs eta** — the same solver run twice, once with
-//!    Forrest–Tomlin row-spike basis updates (the default) and once
-//!    with the product-form eta file, on the online replay and the
-//!    largest scale-sweep point. Gates the FT refactor's bargain:
-//!    no more refactorizations, a strictly smaller update file
-//!    (`update_nnz`, the fill ledger), wall clock within 1.0× + 25 ms
-//!    of eta, and objectives equal to 1e-9 (the refactorization and
-//!    fill gates are checked on the full suite only; `--quick`
-//!    instances are too small to fill an update file meaningfully).
-//! 8. **recovery overhead** — the fault-tolerance bargain. The bundled
+//! 7. **recovery overhead** — the fault-tolerance bargain. The bundled
 //!    trace is streamed through the daemon session twice, with and
 //!    without the write-ahead journal, for the steady-state cost; then
 //!    a journaled run is crashed mid-stream (the in-process disconnect
@@ -74,14 +65,14 @@
 
 use coflow_baselines::registry::{self, AlgoParams};
 use coflow_bench::runner::{compute_figures, online_ablation_spec, PointStats};
-use coflow_bench::{HarnessConfig, SweepPool};
+use coflow_bench::HarnessConfig;
 use coflow_core::horizon::{horizon, HorizonMode};
 use coflow_core::interval::{solve_interval, solve_interval_chained, IntervalChain};
 use coflow_core::online::{online_heuristic_with, OnlineOptions};
 use coflow_core::routing::Routing;
 use coflow_core::solve::SolveContext;
 use coflow_core::timeidx::{solve_time_indexed, LpSize};
-use coflow_lp::{BasisUpdate, SolveStats, SolverOptions};
+use coflow_lp::{SolveStats, SolverOptions};
 use coflow_netgraph::topology;
 use coflow_runtime::Runtime;
 use coflow_service::engine::{EngineConfig, PortCoflow, ServiceOutcome, TenantEngine};
@@ -226,8 +217,8 @@ fn main() {
             "online fb2010 replay: cold {cold_it} iterations is not {bar}x warm {warm_it}"
         ));
     }
-    if replay.objective_max_rel_diff.unwrap_or(0.0) > 1e-6 {
-        failures.push("online fb2010 replay: warm/cold objectives diverged beyond 1e-6".into());
+    if replay.objective_max_rel_diff.unwrap_or(0.0) > 1e-9 {
+        failures.push("online fb2010 replay: warm/cold objectives diverged beyond 1e-9".into());
     }
     scenarios.push(replay);
 
@@ -333,57 +324,7 @@ fn main() {
     }
     scenarios.push(ordering);
 
-    // ---- 7. Forrest–Tomlin vs eta-file basis updates ----
-    for s in ft_vs_eta(quick, seed) {
-        let ft_ref = extra_field(&s, "ft_refactors");
-        let eta_ref = extra_field(&s, "eta_refactors");
-        let ft_nnz = extra_field(&s, "ft_update_nnz");
-        let eta_nnz = extra_field(&s, "eta_update_nnz");
-        let eta_ms = s.wall_ms_cold.unwrap_or(0.0);
-        println!(
-            "ft vs eta [{}]: {:.1} ms vs {eta_ms:.1} ms eta, refactors {ft_ref:.0} vs \
-             {eta_ref:.0}, update nnz {ft_nnz:.0} vs {eta_nnz:.0}, objective drift {:.2e}",
-            s.name,
-            s.wall_ms,
-            s.objective_max_rel_diff.unwrap_or(0.0)
-        );
-        if s.objective_max_rel_diff.unwrap_or(0.0) > 1e-9 {
-            failures.push(format!(
-                "{}: FT and eta objectives diverged beyond 1e-9",
-                s.name
-            ));
-        }
-        // The refactorization and fill gates only bind at full scale:
-        // on `--quick` instances the update file is a handful of
-        // pivots, where FT's per-update spike + multiplier overhead
-        // exceeds a short eta column and a single stability decline
-        // dominates the refactor count. (The full-scale points are
-        // where fill growth is the bottleneck the refactor exists
-        // for.)
-        if !quick && ft_ref > eta_ref {
-            failures.push(format!(
-                "{}: FT refactorized more than eta ({ft_ref:.0} vs {eta_ref:.0})",
-                s.name
-            ));
-        }
-        // Update-file fill is the refactor's raison d'être: FT must
-        // write strictly less than eta at full scale.
-        if !quick && ft_nnz >= eta_nnz && eta_nnz > 0.0 {
-            failures.push(format!(
-                "{}: FT update-file nnz {ft_nnz:.0} is not below eta's {eta_nnz:.0}",
-                s.name
-            ));
-        }
-        if s.wall_ms > eta_ms + 25.0 {
-            failures.push(format!(
-                "{}: FT wall {:.1} ms exceeds eta {eta_ms:.1} ms beyond the 25 ms slack",
-                s.name, s.wall_ms
-            ));
-        }
-        scenarios.push(s);
-    }
-
-    // ---- 8. Journal overhead + crash recovery speedup ----
+    // ---- 7. Journal overhead + crash recovery speedup ----
     let recovery = recovery_overhead(quick);
     let plain_ms = recovery.wall_ms_cold.unwrap_or(0.0);
     let overhead = extra_field(&recovery, "journal_overhead");
@@ -715,7 +656,7 @@ fn online_ablation(quick: bool, seed: u64) -> Vec<Scenario> {
         verbose: false,
     };
     let spec = online_ablation_spec(&topo, &cfg);
-    let fig = compute_figures(vec![spec], &SweepPool::new())
+    let fig = compute_figures(vec![spec], &Runtime::new())
         .pop()
         .expect("one figure")
         .1;
@@ -1002,12 +943,12 @@ fn service_replay(quick: bool) -> Scenario {
     }
 }
 
-/// Timed journal restores in scenario 8 (the median is reported).
+/// Timed journal restores in scenario 7 (the median is reported).
 const RESTORE_RUNS: usize = 5;
-/// Timed cold re-admissions in scenario 8 (the median is reported).
+/// Timed cold re-admissions in scenario 7 (the median is reported).
 const COLD_RUNS: usize = 3;
 
-/// Scenario 8: the fault-tolerance bargain, both sides. Steady state:
+/// Scenario 7: the fault-tolerance bargain, both sides. Steady state:
 /// the bundled trace streamed through the daemon session with and
 /// without the write-ahead journal (same runtime, same stream — the
 /// delta is pure journaling: serialization + append + flush per round).
@@ -1133,149 +1074,6 @@ fn recovery_overhead(quick: bool) -> Scenario {
             ("recovered_epochs".into(), rec.reports.len() as f64),
         ],
     }
-}
-
-/// Update-triggered refactorizations, summed across causes (the
-/// initial factorization of each solve is excluded on both sides, so
-/// FT and eta compare like for like).
-fn refactor_total(st: &SolveStats) -> usize {
-    st.refactor_interval + st.refactor_fill + st.refactor_unstable
-}
-
-/// Scenario 7: the FT-vs-eta A/B — the warm online replay and the
-/// largest cold scale-sweep point, each solved twice with only
-/// `basis_update` differing. `wall_ms` is the FT run, `wall_ms_cold`
-/// the eta run; the `extra` fields carry both sides' refactorization
-/// and update-file-fill counters for the gates in `main`.
-fn ft_vs_eta(quick: bool, seed: u64) -> Vec<Scenario> {
-    let mut out = Vec::new();
-
-    // Warm epoch chain: the bundled trace replayed online, as in
-    // scenario 1 but without the shadow probes — pure A/B.
-    let trace = Trace::parse(FB2010_SAMPLE).expect("bundled fixture parses");
-    let opts = ReplayOptions {
-        limit: if quick { 8 } else { 0 },
-        ms_per_slot: 500.0,
-        ..Default::default()
-    };
-    let inst = trace.switch_instance(&opts).expect("fixture replays");
-    // FT and eta legally take different pivot paths, land on different
-    // optimal vertices, and the rate feedback then makes later epoch
-    // LPs different *instances* — so cross-engine epoch objectives are
-    // not comparable. The 1e-9 oracle is each engine against the
-    // shadow cold solve of its *own* exact LP sequence: a pure timed
-    // run first (no probes on the clock), then an instrumented one.
-    let replay_with = |bu: BasisUpdate| {
-        let lp_opts = SolverOptions {
-            basis_update: bu,
-            ..Default::default()
-        };
-        let t0 = Instant::now();
-        online_heuristic_with(
-            &inst,
-            &Routing::FreePath,
-            &lp_opts,
-            &OnlineOptions {
-                cold: false,
-                shadow_cold: false,
-            },
-        )
-        .expect("online replay solves");
-        let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let run = online_heuristic_with(
-            &inst,
-            &Routing::FreePath,
-            &lp_opts,
-            &OnlineOptions {
-                cold: false,
-                shadow_cold: true,
-            },
-        )
-        .expect("online replay solves");
-        let drift = run
-            .epoch_objectives
-            .iter()
-            .zip(run.cold_objectives.as_deref().unwrap_or(&[]))
-            .map(|(w, c)| (w - c).abs() / (1.0 + c.abs()))
-            .fold(0.0f64, f64::max);
-        (wall_ms, run, drift)
-    };
-    let (ft_ms, ft, ft_drift) = replay_with(BasisUpdate::ForrestTomlin);
-    let (eta_ms, eta, eta_drift) = replay_with(BasisUpdate::Eta);
-    let drift = ft_drift.max(eta_drift);
-    out.push(Scenario {
-        name: "ft_vs_eta_online_replay".into(),
-        wall_ms: ft_ms,
-        wall_ms_cold: Some(eta_ms),
-        iterations: ft.lp_iterations as u64,
-        iterations_cold: Some(eta.lp_iterations as u64),
-        resolves: ft.resolves as u64,
-        objective_max_rel_diff: Some(drift),
-        size: None,
-        stats: Some(ft.lp_stats),
-        extra: vec![
-            ("ft_refactors".into(), refactor_total(&ft.lp_stats) as f64),
-            ("eta_refactors".into(), refactor_total(&eta.lp_stats) as f64),
-            ("ft_update_nnz".into(), ft.lp_stats.update_nnz as f64),
-            ("eta_update_nnz".into(), eta.lp_stats.update_nnz as f64),
-            ("ft_spike_nnz".into(), ft.lp_stats.spike_nnz as f64),
-        ],
-    });
-
-    // Cold single solve: the largest scale-sweep point (long pivot
-    // runs between refactorizations — where update-file fill bites).
-    let (ports, jobs) = if quick { (8, 4) } else { (32, 32) };
-    let topo = topology::bipartite_switch(ports, 1.0);
-    let inst = build_instance(
-        &topo,
-        &WorkloadConfig {
-            kind: WorkloadKind::Facebook,
-            num_jobs: jobs,
-            seed,
-            slot_seconds: 50.0,
-            mean_interarrival_slots: 1.0,
-            weighted: true,
-            demand_scale: 0.05,
-        },
-    )
-    .expect("workload builds");
-    let t = horizon(
-        &inst,
-        &Routing::FreePath,
-        HorizonMode::Greedy { margin: 1.25 },
-    )
-    .expect("horizon");
-    let solve_with = |bu: BasisUpdate| {
-        let lp_opts = SolverOptions {
-            basis_update: bu,
-            ..Default::default()
-        };
-        let t0 = Instant::now();
-        let lp = solve_time_indexed(&inst, &Routing::FreePath, t, &lp_opts).expect("LP solves");
-        (t0.elapsed().as_secs_f64() * 1e3, lp)
-    };
-    let (ft_ms, ft) = solve_with(BasisUpdate::ForrestTomlin);
-    let (eta_ms, eta) = solve_with(BasisUpdate::Eta);
-    let drift = (ft.objective - eta.objective).abs() / (1.0 + eta.objective.abs());
-    out.push(Scenario {
-        name: format!("ft_vs_eta_scale_p{ports}_c{jobs}"),
-        wall_ms: ft_ms,
-        wall_ms_cold: Some(eta_ms),
-        iterations: ft.lp_iterations as u64,
-        iterations_cold: Some(eta.lp_iterations as u64),
-        resolves: 1,
-        objective_max_rel_diff: Some(drift),
-        size: Some(ft.size),
-        stats: Some(ft.stats),
-        extra: vec![
-            ("ft_refactors".into(), refactor_total(&ft.stats) as f64),
-            ("eta_refactors".into(), refactor_total(&eta.stats) as f64),
-            ("ft_update_nnz".into(), ft.stats.update_nnz as f64),
-            ("eta_update_nnz".into(), eta.stats.update_nnz as f64),
-            ("ft_spike_nnz".into(), ft.stats.spike_nnz as f64),
-        ],
-    });
-    out
 }
 
 /// The trajectory label of an output path: `N` for a file named

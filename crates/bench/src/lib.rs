@@ -16,11 +16,9 @@
 #![forbid(unsafe_code)]
 
 pub mod cli;
-pub mod parallel;
 pub mod runner;
 pub mod table;
 
 pub use cli::HarnessConfig;
-pub use parallel::SweepPool;
 pub use runner::{FigureResult, SeriesValue};
 pub use table::{print_figure, write_csv};

@@ -1,5 +1,5 @@
 //! Experiment orchestration: one *scenario-sweep spec* per figure
-//! family, executed by the work-stealing [`SweepPool`].
+//! family, executed by the work-stealing [`Runtime`].
 //!
 //! Each figure is described as a [`FigureSpec`]: static metadata (title,
 //! legend) plus a list of independent [`PointSpec`]s — one per row
@@ -21,13 +21,13 @@
 //! the pool can interleave points across figures.
 
 use crate::cli::HarnessConfig;
-use crate::parallel::SweepPool;
 use coflow_baselines::registry::{self, AlgoParams};
 use coflow_core::horizon::HorizonMode;
 use coflow_core::model::CoflowInstance;
 use coflow_core::routing::{self, Routing};
 use coflow_core::solve::{SolveContext, SolveOutcome};
 use coflow_netgraph::topology::Topology;
+use coflow_runtime::Runtime;
 use coflow_workloads::scenarios::{build_scenario_instance, Scenario, ScenarioConfig};
 use coflow_workloads::trace::{ReplayOptions, Trace, FB2010_SAMPLE};
 use coflow_workloads::{build_instance, WorkloadConfig, WorkloadKind};
@@ -178,7 +178,7 @@ pub fn point_seed(base: u64, stem: &str, index: usize) -> u64 {
 /// and reassembles the figures in spec order.
 pub fn compute_figures<'a>(
     specs: Vec<FigureSpec<'a>>,
-    pool: &SweepPool,
+    pool: &Runtime,
 ) -> Vec<(&'static str, FigureResult)> {
     let tasks: Vec<(usize, usize)> = specs
         .iter()
@@ -236,7 +236,7 @@ pub fn compute_figures<'a>(
 }
 
 fn single_figure(spec: FigureSpec<'_>) -> FigureResult {
-    compute_figures(vec![spec], &SweepPool::new())
+    compute_figures(vec![spec], &Runtime::new())
         .pop()
         .expect("one spec in, one figure out")
         .1
@@ -1066,8 +1066,8 @@ mod tests {
                 })
                 .collect(),
         };
-        let serial = compute_figures(vec![mk("a"), mk("b")], &SweepPool::with_workers(1));
-        let parallel = compute_figures(vec![mk("a"), mk("b")], &SweepPool::with_workers(8));
+        let serial = compute_figures(vec![mk("a"), mk("b")], &Runtime::with_workers(1));
+        let parallel = compute_figures(vec![mk("a"), mk("b")], &Runtime::with_workers(8));
         for ((s_stem, s_fig), (p_stem, p_fig)) in serial.iter().zip(&parallel) {
             assert_eq!(s_stem, p_stem);
             for (s_row, p_row) in s_fig.rows.iter().zip(&p_fig.rows) {
@@ -1096,7 +1096,7 @@ mod tests {
                 })
                 .collect(),
         };
-        let fig = compute_figures(vec![spec], &SweepPool::with_workers(4))
+        let fig = compute_figures(vec![spec], &Runtime::with_workers(4))
             .pop()
             .unwrap()
             .1;

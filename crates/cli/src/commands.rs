@@ -13,7 +13,6 @@ use coflow_core::model::CoflowInstance;
 use coflow_core::routing::{self, Routing};
 use coflow_core::solve::SolveContext;
 use coflow_core::solver::Relaxation;
-use coflow_lp::{LpEngine, SolverOptions};
 use coflow_netgraph::topology::{self, Topology};
 use coflow_workloads::scenarios::{build_scenario_instance, Scenario, ScenarioConfig};
 use coflow_workloads::trace::{ReplayOptions, Trace, TraceStream, WeightRule};
@@ -213,8 +212,7 @@ pub fn solve(args: &Args) -> Result<(), String> {
 }
 
 /// The solver knobs `solve` and `trace replay` share:
-/// `--seed/--samples/--lambda/--k/--epsilon/--alpha/--cold/--lp-engine/`
-/// `--pricing/--basis-update`, validated
+/// `--seed/--samples/--lambda/--k/--epsilon/--alpha/--cold`, validated
 /// and assembled into [`AlgoParams`] exactly once so the two commands
 /// cannot drift (`--epsilon` maps onto both the interval-LP ε and
 /// Jahanjou's ε, as `solve` has always done; `--cold` disables the
@@ -234,29 +232,6 @@ fn solver_knobs(args: &Args) -> Result<SolverKnobs, String> {
     let epsilon: f64 = args.get("epsilon", 0.0)?;
     let alpha: f64 = args.get("alpha", 0.5)?;
     let cold = args.switch("--cold");
-    let engine_flag: String = args.get("lp-engine", "sparse".into())?;
-    let engine = match engine_flag.as_str() {
-        "sparse" => LpEngine::Sparse,
-        "dense" => LpEngine::Dense,
-        other => return Err(format!("unknown LP engine {other:?} (sparse|dense)")),
-    };
-    let pricing_flag: String = args.get("pricing", "devex".into())?;
-    let pricing = match pricing_flag.as_str() {
-        "devex" => coflow_lp::Pricing::Devex,
-        "dantzig" => coflow_lp::Pricing::Dantzig,
-        "steepest-edge" => coflow_lp::Pricing::SteepestEdge,
-        other => {
-            return Err(format!(
-                "unknown pricing rule {other:?} (devex|dantzig|steepest-edge)"
-            ))
-        }
-    };
-    let basis_flag: String = args.get("basis-update", "ft".into())?;
-    let basis_update = match basis_flag.as_str() {
-        "ft" | "forrest-tomlin" => coflow_lp::BasisUpdate::ForrestTomlin,
-        "eta" => coflow_lp::BasisUpdate::Eta,
-        other => return Err(format!("unknown basis update {other:?} (ft|eta)")),
-    };
     if !(alpha > 0.0 && alpha <= 1.0) {
         return Err(format!("--alpha must lie in (0, 1], got {alpha}"));
     }
@@ -277,9 +252,6 @@ fn solver_knobs(args: &Args) -> Result<SolverKnobs, String> {
                 dflt.jahanjou_epsilon
             },
             alpha,
-            engine,
-            pricing,
-            basis_update,
             ..dflt
         },
     })
@@ -301,15 +273,7 @@ fn dispatch(
     epsilon: f64,
 ) -> Result<(), String> {
     println!("algorithm      {}", entry.name);
-    if params.engine == LpEngine::Dense {
-        println!("lp engine      dense (tableau oracle)");
-    }
-    let mut ctx = SolveContext::new().with_lp_options(SolverOptions {
-        engine: params.engine,
-        pricing: params.pricing,
-        basis_update: params.basis_update,
-        ..Default::default()
-    });
+    let mut ctx = SolveContext::new();
     let out = entry
         .build(params)
         .solve(inst, routing, &mut ctx)

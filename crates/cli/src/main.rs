@@ -45,12 +45,6 @@ commands:
              --samples N (20)  --lambda X (1.0)  --k PATHS (3)
              --epsilon E (0 = time-indexed LP)  --seed S (1)
              --alpha A (0.5, jahanjou)
-             --lp-engine sparse|dense (sparse; dense is the slow
-                         tableau oracle, for cross-checking)
-             --pricing devex|dantzig|steepest-edge (devex; warm epoch
-                         re-solves upgrade devex to steepest-edge)
-             --basis-update ft|eta (ft; eta keeps the product-form
-                         chain as the differential oracle)
   trace <action> FILE   work with FB2010-format coflow traces
              summarize  stream the trace and print statistics
              convert    write the replayed instance as a .coflow file
@@ -60,8 +54,7 @@ commands:
                         --model auto|free|single|multi (auto: pick from
                         the algorithm's capability flags)
                         solver knobs as for `solve`: --samples --lambda
-                        --k --epsilon --alpha --seed --lp-engine
-                        --pricing --basis-update
+                        --k --epsilon --alpha --seed
              shared replay knobs:
              --on switch|swan|gscale|abilene|nsfnet (switch)
              --ms-per-slot X (1000)  --mb-per-slot X (125; 125 MB = 1 Gb,

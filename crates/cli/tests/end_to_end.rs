@@ -462,6 +462,36 @@ fn bad_inputs_fail_cleanly() {
 }
 
 #[test]
+fn removed_lp_flags_are_unknown_options() {
+    // The LP has one configuration: the old engine, basis-update and
+    // pricing selectors are rejected like any other unknown flag.
+    let file = temp_file("lp-flags.coflow");
+    run(coflow().args([
+        "generate",
+        "--topology",
+        "fig2",
+        "--jobs",
+        "2",
+        "--output",
+        file.to_str().unwrap(),
+    ]));
+    for (flag, value) in [
+        ("--lp-engine", "dense"),
+        ("--basis-update", "eta"),
+        ("--pricing", "dantzig"),
+    ] {
+        let out = coflow()
+            .args(["solve", file.to_str().unwrap(), flag, value])
+            .output()
+            .unwrap();
+        assert!(!out.status.success(), "{flag} {value} was accepted");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("unknown option"), "{flag}: {stderr}");
+    }
+    let _ = std::fs::remove_file(&file);
+}
+
+#[test]
 fn serve_replays_a_trace_from_stdin() {
     use std::io::Write;
     // The implicit-HELLO path: the raw fixture (header + coflow lines)

@@ -372,13 +372,12 @@ impl<'a> TimeIndexedResolver<'a> {
         }
         let warm = if self.warm { self.basis.as_ref() } else { None };
         self.last_was_warm = warm.is_some();
-        // Epoch re-solves default to Forrest–Tomlin updates plus dual
-        // steepest edge: upgrade the stock Devex pricing, but leave an
-        // explicit caller choice (Dantzig, or already SteepestEdge) alone.
-        let mut epoch_opts = opts.clone();
-        if epoch_opts.pricing == Pricing::Devex {
-            epoch_opts.pricing = Pricing::SteepestEdge;
-        }
+        // Epoch re-solves run dual steepest edge, whichever pricing rule
+        // the caller's options carry.
+        let epoch_opts = SolverOptions {
+            pricing: Pricing::SteepestEdge,
+            ..opts.clone()
+        };
         match built.model.solve_warm(warm, &epoch_opts) {
             Ok((sol, basis)) => {
                 self.solved_once = true;

@@ -62,7 +62,7 @@ pub struct LpRelaxation {
     /// Simplex iterations.
     pub lp_iterations: usize,
     /// Sparse-engine effort counters (FTRAN/BTRAN solves and nonzeros,
-    /// peak workspace bytes); all zero under `LpEngine::Dense`.
+    /// peak workspace bytes).
     pub stats: coflow_lp::SolveStats,
     /// Model dimensions.
     pub size: LpSize,

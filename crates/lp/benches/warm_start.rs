@@ -4,7 +4,7 @@
 //! newly arrived flow stitched into existing rows). Criterion measures
 //! time; the printed pivot counts tell the algorithmic story.
 
-use coflow_lp::{BasisUpdate, Cmp, Model, Sense, SolverOptions, VarId};
+use coflow_lp::{Cmp, Model, Sense, SolverOptions, VarId};
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -116,61 +116,5 @@ fn bench_column_append(c: &mut Criterion) {
     );
 }
 
-/// Forrest–Tomlin vs eta-file basis updates on the column-append warm
-/// re-solve: same pivots, different update files. The printed counters
-/// are the FT story in miniature — refactorizations and update-file
-/// nonzeros should both drop, objectives must agree.
-fn bench_ft_vs_eta_append(c: &mut Criterion) {
-    let (model, _, rows) = chained_lp(200, 7);
-    let ft_opts = SolverOptions {
-        basis_update: BasisUpdate::ForrestTomlin,
-        ..Default::default()
-    };
-    let eta_opts = SolverOptions {
-        basis_update: BasisUpdate::Eta,
-        ..Default::default()
-    };
-    let (_, basis) = model.solve_warm(None, &ft_opts).expect("solves");
-
-    let resolve = |opts: &SolverOptions| {
-        let mut m = model.clone();
-        append_columns(&mut m, &rows, 8);
-        let mut grown = basis.clone();
-        grown.grow(m.num_vars(), m.num_constraints());
-        m.solve_warm(Some(&grown), opts).expect("resolves").0
-    };
-
-    let mut group = c.benchmark_group("warm_start_ft_vs_eta");
-    group.bench_function("ft", |b| b.iter(|| resolve(&ft_opts)));
-    group.bench_function("eta", |b| b.iter(|| resolve(&eta_opts)));
-    group.finish();
-
-    let ft = resolve(&ft_opts);
-    let eta = resolve(&eta_opts);
-    println!(
-        "warm_start_ft_vs_eta: ft {} pivots / {} refactors / {} update nnz ({} FT updates, {} spike nnz) \
-         vs eta {} pivots / {} refactors / {} update nnz",
-        ft.iterations,
-        ft.refactorizations,
-        ft.stats.update_nnz,
-        ft.stats.ft_updates,
-        ft.stats.spike_nnz,
-        eta.iterations,
-        eta.refactorizations,
-        eta.stats.update_nnz
-    );
-    assert!(
-        (ft.objective - eta.objective).abs() < 1e-9 * (1.0 + eta.objective.abs()),
-        "FT and eta disagree: {} vs {}",
-        ft.objective,
-        eta.objective
-    );
-}
-
-criterion_group!(
-    benches,
-    bench_rhs_perturbation,
-    bench_column_append,
-    bench_ft_vs_eta_append
-);
+criterion_group!(benches, bench_rhs_perturbation, bench_column_append);
 criterion_main!(benches);

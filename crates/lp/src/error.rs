@@ -16,7 +16,7 @@ pub enum DistressKind {
     /// The basis factorization was singular and basis repair could not
     /// produce a usable replacement.
     SingularBasis,
-    /// A basis update (eta / Forrest–Tomlin) was rejected as unstable
+    /// A Forrest–Tomlin basis update was rejected as unstable
     /// and the forced refactorization did not restore stability.
     UnstableUpdate,
 }

@@ -10,9 +10,10 @@
 //!   `x ≤ 1` rows), which keeps the basis an order of magnitude smaller
 //!   for time-indexed formulations where *every* variable is bounded;
 //! * sparse LU basis factorization (Gilbert–Peierls with Markowitz-style
-//!   threshold pivoting), product-form (eta) updates, periodic
-//!   refactorization, and **hyper-sparse** FTRAN/BTRAN that walk only
-//!   the symbolic reach of each right-hand side;
+//!   threshold pivoting) that writes `U` once, in the dynamic form the
+//!   **Forrest–Tomlin** updates edit between periodic refactorizations,
+//!   and **hyper-sparse** FTRAN/BTRAN that walk only the symbolic reach
+//!   of each right-hand side;
 //! * one-pass repair of singular bases: the factorization reports every
 //!   dependent column at once, each is swapped for the slack of a row
 //!   the elimination left unpivoted, and the result is factored once
@@ -31,9 +32,10 @@
 //!   dual-Devex row pricing for incremental re-solves;
 //! * geometric-mean equilibration scaling and a light presolve.
 //!
-//! A dense tableau simplex ([`dense`]) acts as a differential-testing
-//! oracle for randomized tests and remains reachable in production via
-//! [`SolverOptions::engine`] (`LpEngine::Dense`).
+//! Every solve runs inside one numerical-distress rescue ladder: a
+//! retry that refactorizes after every pivot, then the dense tableau
+//! simplex ([`dense`]), which is also the differential-testing oracle
+//! of the randomized tests.
 //!
 //! # Example
 //!
@@ -73,6 +75,6 @@ pub use error::{DistressKind, LpError};
 pub use model::{Cmp, ConstraintId, Model, Sense, VarId};
 pub use presolve::{detect_slot_blocks, slot_block_crash, SlotBlocks};
 pub use simplex::dual::{Basis, BasisStatus};
-pub use simplex::{BasisUpdate, LpEngine, Pricing, SolverOptions};
+pub use simplex::{Pricing, SolverOptions};
 pub use solution::{Solution, SolveStats, Status};
 pub use sparse::{CscMatrix, CsrMatrix, WorkVec};

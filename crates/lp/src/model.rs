@@ -365,37 +365,14 @@ impl Model {
         warm: Option<&crate::Basis>,
         options: &SolverOptions,
     ) -> Result<(Solution, crate::Basis), LpError> {
-        use crate::simplex::{check_finite, conservative_options, into_distress, is_distress};
-        let attempt = |w: Option<&crate::Basis>, o: &SolverOptions| {
-            crate::simplex::dual::solve_warm(self, w, o)
-                .and_then(|(sol, basis)| check_finite(sol).map(|s| (s, basis)))
-        };
-        match attempt(warm, options) {
-            Ok(pair) => Ok(pair),
-            Err(e) if is_distress(&e) => {
-                // Conservative retry runs cold: the warm basis itself is
-                // the most likely source of a singular factorization.
-                match attempt(None, &conservative_options(options)) {
-                    Ok((mut sol, basis)) => {
-                        sol.stats.distress_retries += 1;
-                        Ok((sol, basis))
-                    }
-                    Err(e2) if is_distress(&e2) => {
-                        match crate::dense::solve(self).and_then(check_finite) {
-                            Ok(mut sol) => {
-                                sol.stats.distress_retries += 1;
-                                sol.stats.dense_fallbacks += 1;
-                                let basis = crate::Basis::from_point(self, &sol.x);
-                                Ok((sol, basis))
-                            }
-                            Err(e3) => Err(into_distress(e3)),
-                        }
-                    }
-                    Err(e2) => Err(e2),
-                }
-            }
-            Err(e) => Err(e),
-        }
+        // The conservative retry runs cold: the warm basis itself is the
+        // most likely source of a singular factorization.
+        crate::simplex::rescue(
+            self,
+            options,
+            || crate::simplex::dual::solve_warm(self, warm, options),
+            |retry| crate::simplex::dual::solve_warm(self, None, retry),
+        )
     }
 }
 

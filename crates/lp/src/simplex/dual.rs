@@ -150,13 +150,6 @@ pub fn solve_warm(
     warm: Option<&Basis>,
     options: &SolverOptions,
 ) -> Result<(Solution, Basis), LpError> {
-    if options.engine == super::LpEngine::Dense {
-        // The dense tableau oracle has no basis machinery: every solve
-        // is cold, and the returned snapshot is crashed from the point.
-        let sol = crate::dense::solve(model)?;
-        let basis = Basis::from_point(model, &sol.x);
-        return Ok((sol, basis));
-    }
     let sf = StdForm::build(model, options.scale);
     if sf.m == 0 {
         let xs = trivial_solve(&sf)?;
@@ -462,13 +455,14 @@ impl Simplex<'_> {
     /// One pass over the infeasibility list for the dual simplex. Drops
     /// the entries that are feasible again (no sorting) and returns
     /// whether some basic lies past a bound by more than `feas_tol`,
-    /// together with the leaving row: the most-violated basic, optionally
-    /// scaled by the dual row weights (Devex proxy, or exact dual
-    /// steepest edge under `Pricing::SteepestEdge`), ties to the lowest
-    /// position — the row a scan in position order would pick.
+    /// together with the leaving row: the most-violated basic, scaled by
+    /// the dual row weights (Devex proxy, or exact dual steepest edge
+    /// under `Pricing::SteepestEdge`) unless Bland's rule is on, ties to
+    /// the lowest position — the row a scan in position order would
+    /// pick.
     fn leaving_row(&mut self) -> (bool, Option<LeavingRow>) {
         let feas_tol = self.opt.feas_tol;
-        let use_devex = self.opt.pricing != super::Pricing::Dantzig && !self.bland;
+        let use_devex = !self.bland;
         let mut violated = false;
         let mut best: Option<(f64, LeavingRow)> = None;
         self.retain_infeasible(|s, i| {

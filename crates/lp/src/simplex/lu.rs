@@ -1,5 +1,5 @@
 //! Sparse LU factorization of the simplex basis (Gilbert–Peierls) with
-//! Forrest–Tomlin or product-form (eta) updates and hyper-sparse solves.
+//! Forrest–Tomlin updates and hyper-sparse solves.
 //!
 //! The basis matrix `B` consists of `m` columns of the constraint matrix.
 //! We factorize `P·B·Q = L·U` where `Q` orders columns by increasing
@@ -14,36 +14,32 @@
 //! find that entry alone); below the pivot tolerance it is reported
 //! deficient, as the threshold rule would.
 //!
-//! After each simplex pivot the factorization is *updated*, not rebuilt,
-//! in one of two ways selected by [`BasisUpdate`]:
+//! `L` is static between refactorizations (CSC by step, plus its
+//! transposed adjacency). `U` has one representation: the elimination
+//! writes it straight into a dynamic column/row form, which the
+//! **Forrest–Tomlin** update then edits in place after each simplex
+//! pivot. Replacing the column pivoted at step `t` records its *spike*
+//! `s = U·d` as the new column, then eliminates row `t` against the
+//! trailing rows — a sparse triangular solve yields the multipliers,
+//! stored as one row eta — and cyclically permutes `t` to the end of
+//! the elimination order so `U` stays triangular. The order is a doubly
+//! linked list of steps, so that move costs O(1) and the dense solves
+//! walk the list from either end. A stability monitor compares the
+//! recomputed diagonal against its product-form prediction `d_pos·u_tt`
+//! and declines the update (the caller refactorizes) on disagreement.
 //!
-//! * **Forrest–Tomlin** (default): `U` is maintained explicitly in a
-//!   dynamic column/row representation. Replacing the column pivoted at
-//!   step `t` records its *spike* `s = U·d` as the new column, then
-//!   eliminates row `t` against the trailing rows — a sparse triangular
-//!   solve yields the multipliers, stored as one row eta — and cyclically
-//!   permutes `t` to the end of the elimination order so `U` stays
-//!   triangular. The order is a doubly linked list of steps, so that
-//!   move costs O(1) and the dense solves walk the list from either
-//!   end. A stability monitor compares the recomputed diagonal against
-//!   its product-form prediction `d_pos·u_tt` and declines the update
-//!   (the caller refactorizes) on disagreement.
-//! * **Eta**: the update `B' = B·E` is recorded as a sparse eta matrix
-//!   `E` (identity with one replaced column) — the extended product-form
-//!   of the inverse, kept as the differential oracle. FTRAN/BTRAN apply
-//!   the eta file around the LU solve.
-//!
-//! Either update file is discarded at the next refactorization. Its fill
-//! (eta nonzeros, or row-eta multipliers plus net `U` growth) is kept as
-//! running totals, so the refactorization monitor reads it in O(1).
+//! The row etas are discarded at the next refactorization. Their fill
+//! (multipliers plus net `U` growth) is kept as running totals, so the
+//! refactorization monitor reads it in O(1).
 //!
 //! Solves are **hyper-sparse**: right-hand sides, intermediates, and
 //! results live in indexed [`WorkVec`]s. A depth-first symbolic reach
-//! over the triangular factors (both held in forward and transposed
-//! adjacency) enumerates exactly the entries a solve can touch, so the
-//! cost of an FTRAN/BTRAN is proportional to the size of its *result*,
-//! not to `m`. Dense right-hand sides short-circuit to plain dense
-//! triangular solves (the reach would visit everything anyway).
+//! over the triangular factors (`L` through its forward and transposed
+//! adjacency, `U` through its column and row lists) enumerates exactly
+//! the entries a solve can touch, so the cost of an FTRAN/BTRAN is
+//! proportional to the size of its *result*, not to `m`. Dense
+//! right-hand sides short-circuit to plain dense triangular solves (the
+//! reach would visit everything anyway).
 
 use crate::sparse::{CscMatrix, WorkVec};
 
@@ -66,17 +62,6 @@ const FT_STAB_REL: f64 = 1e-6;
 
 /// ... or is absolutely smaller than this times the spike magnitude.
 const FT_STAB_ABS: f64 = 1e-10;
-
-/// How the factorization absorbs a basis column replacement.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum BasisUpdate {
-    /// Forrest–Tomlin row-spike updates: `U` maintained explicitly,
-    /// spike recorded, row eliminated, permuted to the last ordinal.
-    #[default]
-    ForrestTomlin,
-    /// Product-form eta file (the differential oracle).
-    Eta,
-}
 
 /// Why a refactorization was triggered (ledger for `SolveStats`).
 #[derive(Clone, Copy, Debug)]
@@ -102,16 +87,6 @@ pub struct Singular {
     pub rows: Vec<u32>,
 }
 
-/// One product-form update: basis position `pos` was replaced by a column
-/// whose FTRAN image (in basis-position space) is `d`.
-struct Eta {
-    pos: usize,
-    /// Sparse `d`, excluding the `pos` entry.
-    d: Vec<(u32, f64)>,
-    /// `d[pos]`, the pivot element.
-    dp: f64,
-}
-
 /// Running operation counters (monotone across refactorizations).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct OpCounts {
@@ -127,8 +102,8 @@ pub struct OpCounts {
     pub ft_updates: usize,
     /// Total spike nonzeros (diagonal included) across FT updates.
     pub spike_nnz: usize,
-    /// Total nonzeros pushed into the update file: eta columns, or FT
-    /// spikes plus row-eta multipliers — the basis-update fill ledger.
+    /// Total nonzeros pushed into the update file: FT spikes plus
+    /// row-eta multipliers — the basis-update fill ledger.
     pub update_nnz: usize,
     /// Refactorizations triggered by the update-count interval.
     pub refactor_interval: usize,
@@ -148,14 +123,11 @@ struct RowEta {
     m: Vec<(u32, f64)>,
 }
 
-/// Forrest–Tomlin state: `U` maintained explicitly in dynamic form.
-/// Column and row adjacency both carry values and are kept exactly in
-/// sync (no stale entries), so solves never search.
+/// `U` in the dynamic form the Forrest–Tomlin update edits, plus its
+/// row etas. Column and row adjacency both carry values and are kept
+/// exactly in sync (no stale entries), so solves never search.
 #[derive(Default)]
 struct Ft {
-    /// Built for the current factors (mode is Forrest–Tomlin and
-    /// `refactor` succeeded).
-    active: bool,
     /// Column entries `(row step, value)`, diagonal apart.
     ucols: Vec<Vec<(u32, f64)>>,
     /// Row entries `(column step, value)` — the transpose of `ucols`.
@@ -187,6 +159,31 @@ struct Ft {
 }
 
 impl Ft {
+    /// Empties `U` and the row etas for a refactorization of an
+    /// `m`-row basis, and resets the order to ascending steps: step `s`
+    /// links to `s + 1`, and `UNSET` (`u32::MAX`) ends the list at both
+    /// sides. Keeps every list's capacity.
+    fn reset(&mut self, m: usize) {
+        self.ucols.resize_with(m, Vec::new);
+        self.urows.resize_with(m, Vec::new);
+        self.ucols.iter_mut().for_each(Vec::clear);
+        self.urows.iter_mut().for_each(Vec::clear);
+        self.udiag.clear();
+        self.next.clear();
+        self.next.extend((0..m as u32).map(|s| s + 1));
+        if let Some(last) = self.next.last_mut() {
+            *last = UNSET;
+        }
+        self.prev.clear();
+        self.prev.extend((0..m as u32).map(|s| s.wrapping_sub(1)));
+        self.head = if m == 0 { UNSET } else { 0 };
+        self.tail = (m as u32).wrapping_sub(1);
+        self.row_etas.clear();
+        self.row_eta_nnz = 0;
+        self.updates = 0;
+        self.live_nnz = 0;
+    }
+
     /// Unlinks step `t` from the elimination order and appends it at the
     /// tail, in O(1).
     fn move_to_tail(&mut self, t: u32) {
@@ -207,9 +204,9 @@ impl Ft {
     }
 }
 
-/// LU factors plus eta file. Sparse solves work on [`WorkVec`]s; the
-/// dense entry points remain for inherently dense right-hand sides
-/// (basic-value and reduced-cost recomputation).
+/// LU factors plus the Forrest–Tomlin update state. Sparse solves work
+/// on [`WorkVec`]s; the dense entry points remain for inherently dense
+/// right-hand sides (basic-value and reduced-cost recomputation).
 pub struct Factorization {
     m: usize,
     /// orig row -> elimination step.
@@ -228,23 +225,11 @@ pub struct Factorization {
     /// `l_rows` mapped through `rpos` once factorization completes:
     /// the step each L entry updates during a forward solve.
     l_steps: Vec<u32>,
-    // U columns (per step): step indices (< k) and values; diagonal apart.
-    u_start: Vec<usize>,
-    u_steps: Vec<u32>,
-    u_vals: Vec<f64>,
-    u_diag: Vec<f64>,
-    // Transposed adjacency (indices only) for BTRAN symbolic reach:
+    // Transposed L adjacency (indices only) for BTRAN symbolic reach:
     // step s -> steps k whose column holds an entry at s.
-    ut_start: Vec<usize>,
-    ut_cols: Vec<u32>,
     lt_start: Vec<usize>,
     lt_cols: Vec<u32>,
-    etas: Vec<Eta>,
-    /// Nonzeros across `etas`, each counting its entries plus the pivot
-    /// (kept as a running total for the fill monitor).
-    eta_nnz: usize,
-    /// Basis-update mode; [`Ft`] is maintained when Forrest–Tomlin.
-    mode: BasisUpdate,
+    /// `U` (columns, rows, diagonal) and the row etas.
     ft: Ft,
     counts: OpCounts,
     // Scratch buffers reused across factorizations and solves.
@@ -276,17 +261,8 @@ impl Factorization {
             l_rows: Vec::new(),
             l_vals: Vec::new(),
             l_steps: Vec::new(),
-            u_start: vec![0],
-            u_steps: Vec::new(),
-            u_vals: Vec::new(),
-            u_diag: Vec::new(),
-            ut_start: Vec::new(),
-            ut_cols: Vec::new(),
             lt_start: Vec::new(),
             lt_cols: Vec::new(),
-            etas: Vec::new(),
-            eta_nnz: 0,
-            mode: BasisUpdate::Eta,
             ft: Ft::default(),
             counts: OpCounts::default(),
             work: vec![0.0; m],
@@ -302,31 +278,17 @@ impl Factorization {
         }
     }
 
-    /// Selects the basis-update scheme. Takes effect at the next
-    /// [`refactor`](Factorization::refactor); call before the first one.
-    pub fn set_mode(&mut self, mode: BasisUpdate) {
-        self.mode = mode;
-    }
-
-    /// Basis updates absorbed since the last refactorization, whichever
-    /// the scheme (drives the periodic refactorization interval).
+    /// Basis updates absorbed since the last refactorization (drives
+    /// the periodic refactorization interval).
     #[inline]
     pub fn update_count(&self) -> usize {
-        if self.ft.active {
-            self.ft.updates
-        } else {
-            self.etas.len()
-        }
+        self.ft.updates
     }
 
     /// Fill added by the update file since the last refactorization:
-    /// eta-file nonzeros, or FT row-eta multipliers plus net `U` growth.
+    /// row-eta multipliers plus net `U` growth.
     pub fn update_fill(&self) -> usize {
-        if self.ft.active {
-            self.ft.row_eta_nnz + self.ft.live_nnz.saturating_sub(self.ft.base_nnz)
-        } else {
-            self.eta_nnz
-        }
+        self.ft.row_eta_nnz + self.ft.live_nnz.saturating_sub(self.ft.base_nnz)
     }
 
     /// Ledger hook: records what triggered a refactorization.
@@ -339,9 +301,10 @@ impl Factorization {
         }
     }
 
-    /// Total nonzeros in L and U (fill indicator).
+    /// Total nonzeros in L and U at the last refactorization, the
+    /// diagonal included (fill indicator; updates do not move it).
     pub fn factor_nnz(&self) -> usize {
-        self.l_rows.len() + self.u_steps.len() + self.u_diag.len()
+        self.l_rows.len() + self.ft.base_nnz + self.ft.udiag.len()
     }
 
     /// Monotone FTRAN/BTRAN operation counters.
@@ -350,17 +313,15 @@ impl Factorization {
         self.counts
     }
 
-    /// Heap bytes currently held by factors, eta file, and scratch
+    /// Heap bytes currently held by factors, row etas, and scratch
     /// (allocation accounting for the solver's workspace ledger).
     pub fn heap_bytes(&self) -> usize {
         let f = std::mem::size_of::<f64>();
         let u = std::mem::size_of::<u32>();
         let us = std::mem::size_of::<usize>();
-        (self.l_vals.capacity() + self.u_vals.capacity() + self.u_diag.capacity()) * f
+        self.l_vals.capacity() * f
             + (self.l_rows.capacity()
                 + self.l_steps.capacity()
-                + self.u_steps.capacity()
-                + self.ut_cols.capacity()
                 + self.lt_cols.capacity()
                 + self.rpos.capacity()
                 + self.rinv.capacity()
@@ -370,21 +331,12 @@ impl Factorization {
                 + self.row_count.capacity()
                 + self.reach_out.capacity())
                 * u
-            + (self.l_start.capacity()
-                + self.u_start.capacity()
-                + self.ut_start.capacity()
-                + self.lt_start.capacity())
-                * us
+            + (self.l_start.capacity() + self.lt_start.capacity()) * us
             + (self.work.capacity() + self.dense_out.capacity()) * f
-            + self
-                .etas
-                .iter()
-                .map(|e| e.d.capacity() * (u as usize + f as usize))
-                .sum::<usize>()
             + self.ft_heap_bytes()
     }
 
-    /// Heap bytes of the Forrest–Tomlin state.
+    /// Heap bytes of `U` and the row etas.
     fn ft_heap_bytes(&self) -> usize {
         let pair = std::mem::size_of::<(u32, f64)>();
         let u = std::mem::size_of::<u32>();
@@ -420,14 +372,7 @@ impl Factorization {
         self.l_start.push(0);
         self.l_rows.clear();
         self.l_vals.clear();
-        self.u_start.clear();
-        self.u_start.push(0);
-        self.u_steps.clear();
-        self.u_vals.clear();
-        self.u_diag.clear();
-        self.etas.clear();
-        self.eta_nnz = 0;
-        self.ft.active = false;
+        self.ft.reset(m);
 
         // Markowitz row counts: nonzeros per row across the basis.
         self.row_count.iter_mut().for_each(|c| *c = 0);
@@ -473,42 +418,22 @@ impl Factorization {
             // collected in DFS postorder. A pivoted row `i` (eliminated at
             // step `rpos[i]`) propagates to the rows of L's column
             // `rpos[i]`; unpivoted rows are leaves.
-            for (row, _) in a.col(col) {
-                if self.stamp[row as usize] == epoch {
-                    continue;
-                }
-                self.stamp[row as usize] = epoch;
-                dfs_stack.push((row, 0));
-                while let Some(&(node, cursor)) = dfs_stack.last() {
-                    let step = self.rpos[node as usize];
-                    let (lo, hi) = if step == UNSET {
-                        (0, 0) // leaf
-                    } else {
-                        (self.l_start[step as usize], self.l_start[step as usize + 1])
-                    };
-                    let mut c = cursor;
-                    let mut next_child = None;
-                    while lo + c < hi {
-                        let child = self.l_rows[lo + c];
-                        c += 1;
-                        if self.stamp[child as usize] != epoch {
-                            next_child = Some(child);
-                            break;
-                        }
+            let (rpos, l_start, l_rows) = (&self.rpos, &self.l_start, &self.l_rows);
+            dfs_postorder(
+                a.col(col).map(|(row, _)| row),
+                epoch,
+                &mut self.stamp,
+                &mut dfs_stack,
+                &mut pattern,
+                |node, c| {
+                    let step = rpos[node as usize];
+                    if step == UNSET {
+                        return None; // leaf
                     }
-                    dfs_stack.last_mut().expect("non-empty").1 = c;
-                    match next_child {
-                        Some(child) => {
-                            self.stamp[child as usize] = epoch;
-                            dfs_stack.push((child, 0));
-                        }
-                        None => {
-                            dfs_stack.pop();
-                            pattern.push(node);
-                        }
-                    }
-                }
-            }
+                    let i = l_start[step as usize] + c;
+                    (i < l_start[step as usize + 1]).then(|| l_rows[i])
+                },
+            );
 
             // Numeric: scatter, then eliminate in topological order
             // (reverse postorder).
@@ -572,7 +497,8 @@ impl Factorization {
             }
             let diag = self.work[piv_row as usize];
 
-            // Emit U column k (pivoted rows) and L column k (unpivoted).
+            // Emit U column k (pivoted rows, into both adjacency sides)
+            // and L column k (unpivoted).
             for &node in &pattern {
                 let v = self.work[node as usize];
                 self.work[node as usize] = 0.0;
@@ -581,8 +507,9 @@ impl Factorization {
                 }
                 let step = self.rpos[node as usize];
                 if step != UNSET {
-                    self.u_steps.push(step);
-                    self.u_vals.push(v);
+                    self.ft.ucols[k].push((step, v));
+                    self.ft.urows[step as usize].push((k as u32, v));
+                    self.ft.live_nnz += 1;
                 } else {
                     self.l_rows.push(node);
                     self.l_vals.push(v / diag);
@@ -592,6 +519,7 @@ impl Factorization {
             k += 1;
         }
         self.dfs_stack = dfs_stack;
+        self.ft.base_nnz = self.ft.live_nnz;
         if !deficient.is_empty() {
             let rows = (0..m as u32)
                 .filter(|&r| self.rpos[r as usize] == UNSET)
@@ -605,7 +533,7 @@ impl Factorization {
             self.cpos[self.cinv[k] as usize] = k as u32;
         }
         // Resolve L entry rows to their elimination steps and build the
-        // transposed adjacency both factors need for BTRAN reach.
+        // transposed adjacency L needs for BTRAN reach.
         self.l_steps.clear();
         self.l_steps
             .extend(self.l_rows.iter().map(|&r| self.rpos[r as usize]));
@@ -616,70 +544,18 @@ impl Factorization {
             &mut self.lt_start,
             &mut self.lt_cols,
         );
-        build_transpose(
-            m,
-            &self.u_start,
-            &self.u_steps,
-            &mut self.ut_start,
-            &mut self.ut_cols,
-        );
-        if self.mode == BasisUpdate::ForrestTomlin {
-            self.ft_rebuild();
-        }
         Ok(())
     }
 
     /// Ends elimination step `k`: basis position `p` pivoted on `row`
     /// with diagonal `diag`; the entries pushed since the previous step
-    /// form U's and L's column `k`.
+    /// form L's column `k` (U's went straight into `ucols[k]`).
     fn close_step(&mut self, k: usize, row: u32, diag: f64, p: u32) {
-        self.u_diag.push(diag);
-        self.u_start.push(self.u_steps.len());
+        self.ft.udiag.push(diag);
         self.l_start.push(self.l_rows.len());
         self.rpos[row as usize] = k as u32;
         self.rinv[k] = row;
         self.cinv[k] = p;
-    }
-
-    /// (Re)builds the dynamic `U` representation from the fresh factors.
-    fn ft_rebuild(&mut self) {
-        let m = self.m;
-        let ft = &mut self.ft;
-        ft.ucols.resize_with(m, Vec::new);
-        ft.urows.resize_with(m, Vec::new);
-        for c in &mut ft.ucols {
-            c.clear();
-        }
-        for r in &mut ft.urows {
-            r.clear();
-        }
-        ft.udiag.clear();
-        ft.udiag.extend_from_slice(&self.u_diag);
-        for k in 0..m {
-            for t in self.u_start[k]..self.u_start[k + 1] {
-                let j = self.u_steps[t];
-                let v = self.u_vals[t];
-                ft.ucols[k].push((j, v));
-                ft.urows[j as usize].push((k as u32, v));
-            }
-        }
-        // Ascending order: step s links to s + 1; `UNSET` (u32::MAX)
-        // ends the list at both sides.
-        ft.next.clear();
-        ft.next.extend((0..m as u32).map(|s| s + 1));
-        if let Some(last) = ft.next.last_mut() {
-            *last = UNSET;
-        }
-        ft.prev.clear();
-        ft.prev.extend((0..m as u32).map(|s| s.wrapping_sub(1)));
-        ft.head = if m == 0 { UNSET } else { 0 };
-        ft.tail = (m as u32).wrapping_sub(1);
-        ft.row_etas.clear();
-        ft.row_eta_nnz = 0;
-        ft.updates = 0;
-        ft.base_nnz = self.u_steps.len();
-        ft.live_nnz = self.u_steps.len();
-        ft.active = true;
     }
 
     /// Sparse FTRAN: solves `B x = v` in place. Input `v` is in
@@ -696,46 +572,17 @@ impl Factorization {
         // Row space -> step space.
         self.permute(v, PermMap::RowToStep);
         debug_check_pattern(v, "after perm row->step");
-        // L forward over its symbolic reach.
+        // L forward over its symbolic reach, the row etas chronologically
+        // (gather form), then U backward over its reach.
         self.solve_lower(v);
         debug_check_pattern(v, "after L");
-        if self.ft.active {
-            // Row etas chronological (gather form), then the dynamic U.
-            self.ft_apply_row_etas(v);
-            debug_check_pattern(v, "after FT row etas");
-            self.ft_solve_u(v);
-            debug_check_pattern(v, "after FT U");
-            self.permute(v, PermMap::StepToPos);
-            debug_check_pattern(v, "after perm step->pos");
-            self.counts.ftran_nnz += v.nnz();
-            return;
-        }
-        // U backward over its symbolic reach.
+        self.apply_row_etas(v);
+        debug_check_pattern(v, "after row etas");
         self.solve_upper(v);
         debug_check_pattern(v, "after U");
         // Step space -> position space.
         self.permute(v, PermMap::StepToPos);
         debug_check_pattern(v, "after perm step->pos");
-        // Eta file, chronological. New fill is added to the pattern via
-        // stamps so duplicates cannot arise.
-        self.epoch += 1;
-        let epoch = self.epoch;
-        for &i in &v.pattern {
-            self.stamp[i as usize] = epoch;
-        }
-        for eta in &self.etas {
-            let t = v.vals[eta.pos] / eta.dp;
-            if t != 0.0 {
-                for &(i, di) in &eta.d {
-                    v.vals[i as usize] -= di * t;
-                    if self.stamp[i as usize] != epoch {
-                        self.stamp[i as usize] = epoch;
-                        v.pattern.push(i);
-                    }
-                }
-            }
-            v.vals[eta.pos] = t;
-        }
         self.counts.ftran_nnz += v.nnz();
     }
 
@@ -761,51 +608,16 @@ impl Factorization {
             self.counts.btran_nnz += v.nnz();
             return;
         }
-        if self.ft.active {
-            // Dynamic Uᵀ, then row-eta transposes newest first.
-            self.permute(v, PermMap::PosToStep);
-            debug_check_pattern(v, "btran after perm pos->step");
-            self.ft_solve_ut(v);
-            debug_check_pattern(v, "btran after FT Ut");
-            self.ft_apply_row_etas_t(v);
-            debug_check_pattern(v, "btran after FT row etas");
-            self.solve_lower_t(v);
-            debug_check_pattern(v, "btran after Lt");
-            self.permute(v, PermMap::StepToRow);
-            debug_check_pattern(v, "btran after perm step->row");
-            self.counts.btran_nnz += v.nnz();
-            return;
-        }
-        // Eta transposes, newest first (gather form: each eta reads its
-        // own sparse entries, so the pass costs O(eta nnz) regardless of
-        // the vector's density).
-        self.epoch += 1;
-        let epoch = self.epoch;
-        for &i in &v.pattern {
-            self.stamp[i as usize] = epoch;
-        }
-        for eta in self.etas.iter().rev() {
-            let mut acc = v.vals[eta.pos];
-            for &(i, di) in &eta.d {
-                acc -= di * v.vals[i as usize];
-            }
-            if acc != 0.0 || self.stamp[eta.pos] == epoch {
-                if self.stamp[eta.pos] != epoch {
-                    self.stamp[eta.pos] = epoch;
-                    v.pattern.push(eta.pos as u32);
-                }
-                v.vals[eta.pos] = acc / eta.dp;
-            }
-        }
-        // Position space -> step space.
+        // Position space -> step space, Uᵀ forward, row-eta transposes
+        // newest first, Lᵀ backward, step space -> original-row space.
         self.permute(v, PermMap::PosToStep);
         debug_check_pattern(v, "btran after perm pos->step");
-        // Uᵀ forward, Lᵀ backward, over the transposed-adjacency reach.
         self.solve_upper_t(v);
         debug_check_pattern(v, "btran after Ut");
+        self.apply_row_etas_t(v);
+        debug_check_pattern(v, "btran after row etas");
         self.solve_lower_t(v);
         debug_check_pattern(v, "btran after Lt");
-        // Step space -> original-row space.
         self.permute(v, PermMap::StepToRow);
         debug_check_pattern(v, "btran after perm step->row");
         self.counts.btran_nnz += v.nnz();
@@ -832,42 +644,28 @@ impl Factorization {
         for k in 0..self.m {
             x[k] = rhs[self.rinv[k] as usize];
         }
-        if self.ft.active {
-            self.dense_lower(x);
-            for re in &self.ft.row_etas {
-                let mut acc = x[re.t as usize];
-                for &(j, mj) in &re.m {
-                    acc -= mj * x[j as usize];
-                }
-                x[re.t as usize] = acc;
+        self.dense_lower(x);
+        for re in &self.ft.row_etas {
+            let mut acc = x[re.t as usize];
+            for &(j, mj) in &re.m {
+                acc -= mj * x[j as usize];
             }
-            // Dynamic U backward, from the tail of the order.
-            let mut step = self.ft.tail;
-            while step != UNSET {
-                let k = step as usize;
-                let xv = x[k] / self.ft.udiag[k];
-                x[k] = xv;
-                if xv != 0.0 {
-                    for &(j, u) in &self.ft.ucols[k] {
-                        x[j as usize] -= u * xv;
-                    }
-                }
-                step = self.ft.prev[k];
-            }
-            self.steps_to_positions(x);
-            return;
+            x[re.t as usize] = acc;
         }
-        self.lu_solve_in_step_space(x);
+        // U backward, from the tail of the order.
+        let mut step = self.ft.tail;
+        while step != UNSET {
+            let k = step as usize;
+            let xv = x[k] / self.ft.udiag[k];
+            x[k] = xv;
+            if xv != 0.0 {
+                for &(j, u) in &self.ft.ucols[k] {
+                    x[j as usize] -= u * xv;
+                }
+            }
+            step = self.ft.prev[k];
+        }
         self.steps_to_positions(x);
-        for eta in &self.etas {
-            let t = x[eta.pos] / eta.dp;
-            if t != 0.0 {
-                for &(i, di) in &eta.d {
-                    x[i as usize] -= di * t;
-                }
-            }
-            x[eta.pos] = t;
-        }
     }
 
     /// BTRAN: solves `Bᵀ y = c` where `c` is dense in basis-position
@@ -878,72 +676,30 @@ impl Factorization {
         self.counts.btran_nnz += self.m;
         y.clear();
         y.extend_from_slice(c);
-        if self.ft.active {
-            self.positions_to_steps(y);
-            // Dynamic Uᵀ forward, from the head of the order (scatter
-            // form).
-            let mut step = self.ft.head;
-            while step != UNSET {
-                let k = step as usize;
-                let yv = y[k] / self.ft.udiag[k];
-                y[k] = yv;
-                if yv != 0.0 {
-                    for &(cstep, u) in &self.ft.urows[k] {
-                        y[cstep as usize] -= u * yv;
-                    }
-                }
-                step = self.ft.next[k];
-            }
-            // Row-eta transposes, newest first.
-            for re in self.ft.row_etas.iter().rev() {
-                let t = y[re.t as usize];
-                if t != 0.0 {
-                    for &(j, mj) in &re.m {
-                        y[j as usize] -= mj * t;
-                    }
-                }
-            }
-            self.dense_lower_t(y);
-            let m = self.m;
-            self.work[..m].copy_from_slice(&y[..m]);
-            for k in 0..m {
-                y[self.rinv[k] as usize] = self.work[k];
-            }
-            for k in 0..m {
-                self.work[k] = 0.0;
-            }
-            return;
-        }
-        // Eta transposes, newest first.
-        for eta in self.etas.iter().rev() {
-            let mut acc = y[eta.pos];
-            for &(i, di) in &eta.d {
-                acc -= di * y[i as usize];
-            }
-            y[eta.pos] = acc / eta.dp;
-        }
-        // Position -> step space: z[k] = y[cinv[k]].
         self.positions_to_steps(y);
-        // U^T forward solve.
-        for k in 0..self.m {
-            let lo = self.u_start[k];
-            let hi = self.u_start[k + 1];
-            let mut acc = y[k];
-            for t in lo..hi {
-                acc -= self.u_vals[t] * y[self.u_steps[t] as usize];
+        // Uᵀ forward, from the head of the order (scatter form).
+        let mut step = self.ft.head;
+        while step != UNSET {
+            let k = step as usize;
+            let yv = y[k] / self.ft.udiag[k];
+            y[k] = yv;
+            if yv != 0.0 {
+                for &(cstep, u) in &self.ft.urows[k] {
+                    y[cstep as usize] -= u * yv;
+                }
             }
-            y[k] = acc / self.u_diag[k];
+            step = self.ft.next[k];
         }
-        // L^T backward solve.
-        for k in (0..self.m).rev() {
-            let lo = self.l_start[k];
-            let hi = self.l_start[k + 1];
-            let mut acc = y[k];
-            for t in lo..hi {
-                acc -= self.l_vals[t] * y[self.l_steps[t] as usize];
+        // Row-eta transposes, newest first.
+        for re in self.ft.row_etas.iter().rev() {
+            let t = y[re.t as usize];
+            if t != 0.0 {
+                for &(j, mj) in &re.m {
+                    y[j as usize] -= mj * t;
+                }
             }
-            y[k] = acc;
         }
+        self.dense_lower_t(y);
         // Step -> original-row space: out[rinv[k]] = y[k].
         let m = self.m;
         self.work[..m].copy_from_slice(&y[..m]);
@@ -955,48 +711,19 @@ impl Factorization {
         }
     }
 
-    /// Records the pivot `basis[pos] := entering`, given the entering
-    /// column's FTRAN image `d` (position space, sparse).
+    /// Absorbs the pivot `basis[pos] := entering` by a Forrest–Tomlin
+    /// update; `d` is the entering column's FTRAN image (position space,
+    /// sparse) with `d[pos]` the pivot element, which the caller
+    /// guarantees exceeds the pivot tolerance. Records the spike
+    /// `s = U·d` as the new column at step `t` (the step pivoting basis
+    /// position `pos`), eliminates row `t` against the trailing rows (one
+    /// row eta), and rotates `t` to the last ordinal.
     ///
-    /// `d[pos]` must be the pivot element (caller guarantees it exceeds
-    /// the pivot tolerance).
-    pub fn push_eta(&mut self, pos: usize, d: &WorkVec, keep_tol: f64) {
-        let dp = d.vals[pos];
-        debug_assert!(dp != 0.0);
-        let mut sparse = Vec::with_capacity(d.nnz());
-        for &i in &d.pattern {
-            let v = d.vals[i as usize];
-            if i as usize != pos && v.abs() > keep_tol {
-                sparse.push((i, v));
-            }
-        }
-        self.counts.update_nnz += sparse.len() + 1;
-        self.eta_nnz += sparse.len() + 1;
-        self.etas.push(Eta { pos, d: sparse, dp });
-    }
-
-    /// Absorbs the pivot `basis[pos] := entering` using the configured
-    /// update scheme; `d` is the entering column's FTRAN image (position
-    /// space, sparse) with `d[pos]` the pivot element.
-    ///
-    /// Returns `false` when a Forrest–Tomlin update was declined by the
-    /// stability monitor: the factorization then still represents the
-    /// *old* basis and the caller must refactorize before the next solve.
+    /// Returns `false` when the stability monitor declined the update:
+    /// the factorization then still represents the *old* basis and the
+    /// caller must refactorize before the next solve.
     #[must_use]
     pub fn push_update(&mut self, pos: usize, d: &WorkVec, keep_tol: f64) -> bool {
-        if self.ft.active {
-            self.push_ft(pos, d, keep_tol)
-        } else {
-            self.push_eta(pos, d, keep_tol);
-            true
-        }
-    }
-
-    /// Forrest–Tomlin update: records the spike `s = U·d` as the new
-    /// column at step `t` (the step pivoting basis position `pos`),
-    /// eliminates row `t` against the trailing rows (one row eta), and
-    /// rotates `t` to the last ordinal.
-    fn push_ft(&mut self, pos: usize, d: &WorkVec, keep_tol: f64) -> bool {
         let m = self.m;
         let t = self.cpos[pos] as usize;
         let dp = d.vals[pos];
@@ -1042,7 +769,7 @@ impl Factorization {
             mvec.vals[c as usize] = val;
             mvec.pattern.push(c);
         }
-        self.ft_solve_ut(&mut mvec);
+        self.solve_upper_t(&mut mvec);
 
         // New diagonal after eliminating row t of the spike column, and
         // the Forrest–Tomlin stability test: the same value is predicted
@@ -1157,7 +884,7 @@ impl Factorization {
 
     /// Symbolic reach + numeric forward solve with L (step space).
     fn solve_lower(&mut self, v: &mut WorkVec) {
-        self.reach(&v.pattern, Graph::L);
+        self.reach(&v.pattern, false);
         let mut order = std::mem::take(&mut self.reach_out);
         for idx in (0..order.len()).rev() {
             let k = order[idx] as usize;
@@ -1172,45 +899,9 @@ impl Factorization {
         self.reach_out = order;
     }
 
-    /// Symbolic reach + numeric backward solve with U (step space).
-    fn solve_upper(&mut self, v: &mut WorkVec) {
-        self.reach(&v.pattern, Graph::U);
-        let mut order = std::mem::take(&mut self.reach_out);
-        for idx in (0..order.len()).rev() {
-            let k = order[idx] as usize;
-            let x = v.vals[k] / self.u_diag[k];
-            v.vals[k] = x;
-            if x != 0.0 {
-                for t in self.u_start[k]..self.u_start[k + 1] {
-                    v.vals[self.u_steps[t] as usize] -= self.u_vals[t] * x;
-                }
-            }
-        }
-        std::mem::swap(&mut v.pattern, &mut order);
-        self.reach_out = order;
-    }
-
-    /// Symbolic reach + numeric forward solve with Uᵀ (step space).
-    /// Reach follows the transposed adjacency; the numeric pass gathers
-    /// through U's own columns.
-    fn solve_upper_t(&mut self, v: &mut WorkVec) {
-        self.reach(&v.pattern, Graph::Ut);
-        let mut order = std::mem::take(&mut self.reach_out);
-        for idx in (0..order.len()).rev() {
-            let k = order[idx] as usize;
-            let mut acc = v.vals[k];
-            for t in self.u_start[k]..self.u_start[k + 1] {
-                acc -= self.u_vals[t] * v.vals[self.u_steps[t] as usize];
-            }
-            v.vals[k] = acc / self.u_diag[k];
-        }
-        std::mem::swap(&mut v.pattern, &mut order);
-        self.reach_out = order;
-    }
-
     /// Symbolic reach + numeric backward solve with Lᵀ (step space).
     fn solve_lower_t(&mut self, v: &mut WorkVec) {
-        self.reach(&v.pattern, Graph::Lt);
+        self.reach(&v.pattern, true);
         let mut order = std::mem::take(&mut self.reach_out);
         for idx in (0..order.len()).rev() {
             let k = order[idx] as usize;
@@ -1226,7 +917,7 @@ impl Factorization {
 
     /// Applies the FT row etas chronologically during FTRAN (gather
     /// form: each eta reads its own sparse entries). Step space.
-    fn ft_apply_row_etas(&mut self, v: &mut WorkVec) {
+    fn apply_row_etas(&mut self, v: &mut WorkVec) {
         if self.ft.row_etas.is_empty() {
             return;
         }
@@ -1252,7 +943,7 @@ impl Factorization {
 
     /// Applies the FT row-eta transposes newest-first during BTRAN
     /// (scatter form). Step space.
-    fn ft_apply_row_etas_t(&mut self, v: &mut WorkVec) {
+    fn apply_row_etas_t(&mut self, v: &mut WorkVec) {
         if self.ft.row_etas.is_empty() {
             return;
         }
@@ -1278,8 +969,8 @@ impl Factorization {
     /// Symbolic reach + numeric backward solve with the dynamic `U`
     /// (step space): reverse DFS postorder finalizes each entry before
     /// it propagates down its column.
-    fn ft_solve_u(&mut self, v: &mut WorkVec) {
-        self.ft_reach(&v.pattern, false);
+    fn solve_upper(&mut self, v: &mut WorkVec) {
+        self.reach_upper(&v.pattern, false);
         let mut order = std::mem::take(&mut self.reach_out);
         for idx in (0..order.len()).rev() {
             let k = order[idx] as usize;
@@ -1297,8 +988,8 @@ impl Factorization {
 
     /// Symbolic reach + numeric forward solve with the dynamic `Uᵀ`
     /// (step space), propagating through the row adjacency.
-    fn ft_solve_ut(&mut self, v: &mut WorkVec) {
-        self.ft_reach(&v.pattern, true);
+    fn solve_upper_t(&mut self, v: &mut WorkVec) {
+        self.reach_upper(&v.pattern, true);
         let mut order = std::mem::take(&mut self.reach_out);
         for idx in (0..order.len()).rev() {
             let k = order[idx] as usize;
@@ -1314,51 +1005,24 @@ impl Factorization {
         self.reach_out = order;
     }
 
-    /// DFS reach over the dynamic `U` adjacency (columns for FTRAN,
-    /// rows for BTRAN), mirroring [`reach`](Factorization::reach).
-    fn ft_reach(&mut self, seeds: &[u32], transposed: bool) {
+    /// DFS reach over the `U` adjacency (columns for FTRAN, rows for
+    /// BTRAN), mirroring [`reach`](Factorization::reach).
+    fn reach_upper(&mut self, seeds: &[u32], transposed: bool) {
         self.epoch += 1;
-        let epoch = self.epoch;
         let adj = if transposed {
             &self.ft.urows
         } else {
             &self.ft.ucols
         };
-        let stamp = &mut self.stamp;
-        let stack = &mut self.dfs_stack;
-        let out = &mut self.reach_out;
-        out.clear();
-        for &seed in seeds {
-            if stamp[seed as usize] == epoch {
-                continue;
-            }
-            stamp[seed as usize] = epoch;
-            stack.push((seed, 0));
-            while let Some(&(node, cursor)) = stack.last() {
-                let list = &adj[node as usize];
-                let mut c = cursor;
-                let mut next_child = None;
-                while c < list.len() {
-                    let child = list[c].0;
-                    c += 1;
-                    if stamp[child as usize] != epoch {
-                        next_child = Some(child);
-                        break;
-                    }
-                }
-                stack.last_mut().expect("non-empty").1 = c;
-                match next_child {
-                    Some(child) => {
-                        stamp[child as usize] = epoch;
-                        stack.push((child, 0));
-                    }
-                    None => {
-                        stack.pop();
-                        out.push(node);
-                    }
-                }
-            }
-        }
+        self.reach_out.clear();
+        dfs_postorder(
+            seeds.iter().copied(),
+            self.epoch,
+            &mut self.stamp,
+            &mut self.dfs_stack,
+            &mut self.reach_out,
+            |node, c| adj[node as usize].get(c).map(|e| e.0),
+        );
     }
 
     /// Dense L forward solve (step space).
@@ -1384,56 +1048,30 @@ impl Factorization {
         }
     }
 
-    /// DFS reach from `seeds` over one of the four triangular-solve
-    /// dependency graphs. Leaves the closed pattern in `self.reach_out`
-    /// in DFS postorder; reverse postorder is a topological order of the
-    /// solve, so numeric passes can finalize each entry before it
-    /// propagates.
-    fn reach(&mut self, seeds: &[u32], graph: Graph) {
+    /// DFS reach from `seeds` over the `L` solve's dependency graph
+    /// (its transpose for BTRAN). Leaves the closed pattern in
+    /// `self.reach_out` in DFS postorder; reverse postorder is a
+    /// topological order of the solve, so numeric passes can finalize
+    /// each entry before it propagates.
+    fn reach(&mut self, seeds: &[u32], transposed: bool) {
         self.epoch += 1;
-        let epoch = self.epoch;
-        let (start, idx): (&[usize], &[u32]) = match graph {
-            Graph::L => (&self.l_start, &self.l_steps),
-            Graph::U => (&self.u_start, &self.u_steps),
-            Graph::Ut => (&self.ut_start, &self.ut_cols),
-            Graph::Lt => (&self.lt_start, &self.lt_cols),
+        let (start, idx): (&[usize], &[u32]) = if transposed {
+            (&self.lt_start, &self.lt_cols)
+        } else {
+            (&self.l_start, &self.l_steps)
         };
-        let stamp = &mut self.stamp;
-        let stack = &mut self.dfs_stack;
-        let out = &mut self.reach_out;
-        out.clear();
-        for &seed in seeds {
-            if stamp[seed as usize] == epoch {
-                continue;
-            }
-            stamp[seed as usize] = epoch;
-            stack.push((seed, 0));
-            while let Some(&(node, cursor)) = stack.last() {
-                let lo = start[node as usize];
-                let hi = start[node as usize + 1];
-                let mut c = cursor;
-                let mut next_child = None;
-                while lo + c < hi {
-                    let child = idx[lo + c];
-                    c += 1;
-                    if stamp[child as usize] != epoch {
-                        next_child = Some(child);
-                        break;
-                    }
-                }
-                stack.last_mut().expect("non-empty").1 = c;
-                match next_child {
-                    Some(child) => {
-                        stamp[child as usize] = epoch;
-                        stack.push((child, 0));
-                    }
-                    None => {
-                        stack.pop();
-                        out.push(node);
-                    }
-                }
-            }
-        }
+        self.reach_out.clear();
+        dfs_postorder(
+            seeds.iter().copied(),
+            self.epoch,
+            &mut self.stamp,
+            &mut self.dfs_stack,
+            &mut self.reach_out,
+            |node, c| {
+                let i = start[node as usize] + c;
+                (i < start[node as usize + 1]).then(|| idx[i])
+            },
+        );
     }
 
     /// Permutes a work vector between index spaces, touching only its
@@ -1455,33 +1093,6 @@ impl Factorization {
         for &(i, val) in scratch.iter() {
             v.vals[i as usize] = val;
             v.pattern.push(i);
-        }
-    }
-
-    /// Forward+backward dense LU solve with the vector in step space.
-    fn lu_solve_in_step_space(&self, x: &mut [f64]) {
-        // L forward.
-        for k in 0..self.m {
-            let v = x[k];
-            if v != 0.0 {
-                let lo = self.l_start[k];
-                let hi = self.l_start[k + 1];
-                for t in lo..hi {
-                    x[self.l_steps[t] as usize] -= self.l_vals[t] * v;
-                }
-            }
-        }
-        // U backward.
-        for k in (0..self.m).rev() {
-            let v = x[k] / self.u_diag[k];
-            x[k] = v;
-            if v != 0.0 {
-                let lo = self.u_start[k];
-                let hi = self.u_start[k + 1];
-                for t in lo..hi {
-                    x[self.u_steps[t] as usize] -= self.u_vals[t] * v;
-                }
-            }
         }
     }
 
@@ -1510,13 +1121,48 @@ impl Factorization {
     }
 }
 
-/// Which triangular-solve dependency graph a reach runs over.
-#[derive(Clone, Copy)]
-enum Graph {
-    L,
-    U,
-    Ut,
-    Lt,
+/// Depth-first reach from `seeds` over the graph whose `c`-th edge out
+/// of `node` leads to `child(node, c)` (`None` past the last). Nodes
+/// stamped with `epoch` are skipped; every node reached is stamped and
+/// appended to `out` in DFS postorder — reverse postorder is a
+/// topological order of the triangular solve the graph encodes.
+fn dfs_postorder(
+    seeds: impl IntoIterator<Item = u32>,
+    epoch: u32,
+    stamp: &mut [u32],
+    stack: &mut Vec<(u32, usize)>,
+    out: &mut Vec<u32>,
+    child: impl Fn(u32, usize) -> Option<u32>,
+) {
+    for seed in seeds {
+        if stamp[seed as usize] == epoch {
+            continue;
+        }
+        stamp[seed as usize] = epoch;
+        stack.push((seed, 0));
+        while let Some(&(node, cursor)) = stack.last() {
+            let mut c = cursor;
+            let mut next_child = None;
+            while let Some(ch) = child(node, c) {
+                c += 1;
+                if stamp[ch as usize] != epoch {
+                    next_child = Some(ch);
+                    break;
+                }
+            }
+            stack.last_mut().expect("non-empty").1 = c;
+            match next_child {
+                Some(ch) => {
+                    stamp[ch as usize] = epoch;
+                    stack.push((ch, 0));
+                }
+                None => {
+                    stack.pop();
+                    out.push(node);
+                }
+            }
+        }
+    }
 }
 
 /// Index-space maps for [`Factorization::permute`].
@@ -1787,87 +1433,6 @@ mod tests {
         assert!(err.rows.iter().all(|&r| r < 4));
     }
 
-    #[test]
-    fn eta_update_matches_refactor() {
-        let mut rng = StdRng::seed_from_u64(17);
-        for _ in 0..20 {
-            let m = rng.gen_range(3..10);
-            let ncols = m + 5;
-            let mut rows = vec![vec![0.0; ncols]; m];
-            for i in 0..m {
-                for j in 0..ncols {
-                    if rng.gen_bool(0.5) {
-                        rows[i][j] = rng.gen_range(-2.0..2.0);
-                    }
-                }
-                rows[i][i] += 4.0;
-                rows[i][m + (i % 5).min(4)] += 1.0;
-            }
-            let a = csc_from_dense(&rows);
-            let mut basis: Vec<usize> = (0..m).collect();
-            let mut f = Factorization::new(m);
-            f.refactor(&a, &basis, 1e-10).unwrap();
-
-            // Replace a couple of basis columns via eta updates.
-            for _ in 0..2 {
-                let entering = rng.gen_range(m..ncols);
-                if basis.contains(&entering) {
-                    continue;
-                }
-                let mut d = WorkVec::with_dim(m);
-                f.ftran_col(&a, entering, &mut d);
-                check_pattern(&d);
-                // Pick the position with the largest |d| as the pivot.
-                let (pos, dp) = d
-                    .vals
-                    .iter()
-                    .enumerate()
-                    .max_by(|x, y| x.1.abs().partial_cmp(&y.1.abs()).unwrap())
-                    .map(|(i, &v)| (i, v))
-                    .unwrap();
-                if dp.abs() < 1e-6 {
-                    continue;
-                }
-                f.push_eta(pos, &d, 1e-14);
-                basis[pos] = entering;
-
-                // Updated factorization must solve against the new basis.
-                let mut x = WorkVec::with_dim(m);
-                for col in 0..ncols {
-                    f.ftran_col(&a, col, &mut x);
-                    check_pattern(&x);
-                    let bx = basis_matvec(&a, &basis, &x.vals);
-                    let mut expect = vec![0.0; m];
-                    a.axpy_col(col, 1.0, &mut expect);
-                    for i in 0..m {
-                        assert!(
-                            (bx[i] - expect[i]).abs() < 1e-7,
-                            "col {col}: {:?} vs {expect:?}",
-                            bx
-                        );
-                    }
-                }
-                let c: Vec<f64> = (0..m).map(|_| rng.gen_range(-3.0..3.0)).collect();
-                let mut y = Vec::new();
-                f.btran(&c, &mut y);
-                let bty = basis_matvec_t(&a, &basis, &y);
-                for i in 0..m {
-                    assert!((bty[i] - c[i]).abs() < 1e-7);
-                }
-                let mut r = WorkVec::with_dim(m);
-                for pos in 0..m {
-                    f.btran_unit(pos, &mut r);
-                    check_pattern(&r);
-                    let bty = basis_matvec_t(&a, &basis, &r.vals);
-                    for (i, &bi) in bty.iter().enumerate() {
-                        let want = if i == pos { 1.0 } else { 0.0 };
-                        assert!((bi - want).abs() < 1e-7);
-                    }
-                }
-            }
-        }
-    }
-
     /// The Forrest–Tomlin elimination order, head to tail, checking the
     /// links agree in both directions.
     fn ft_order(f: &Factorization) -> Vec<u32> {
@@ -1886,9 +1451,8 @@ mod tests {
 
     #[test]
     fn ft_update_matches_refactor() {
-        // Forrest–Tomlin twin of `eta_update_matches_refactor`: replace
-        // at least m basis columns per trial through `push_update` under
-        // the FT mode — steering pivots onto the head of the elimination
+        // Replace at least m basis columns per trial through
+        // `push_update` — steering pivots onto the head of the elimination
         // order, onto its tail (already last), and elsewhere — and check
         // every FTRAN/BTRAN entry point against the new basis.
         let mut rng = StdRng::seed_from_u64(18);
@@ -1909,7 +1473,6 @@ mod tests {
             let a = csc_from_dense(&rows);
             let mut basis: Vec<usize> = (0..m).collect();
             let mut f = Factorization::new(m);
-            f.set_mode(BasisUpdate::ForrestTomlin);
             f.refactor(&a, &basis, 1e-10).unwrap();
 
             let mut applied = 0;
@@ -1986,7 +1549,6 @@ mod tests {
                 }
                 // Dense FTRAN against a fresh factorization of the basis.
                 let mut fresh = Factorization::new(m);
-                fresh.set_mode(BasisUpdate::ForrestTomlin);
                 fresh.refactor(&a, &basis, 1e-10).unwrap();
                 let rhs: Vec<f64> = (0..m).map(|_| rng.gen_range(-3.0..3.0)).collect();
                 let (mut xd, mut xf) = (Vec::new(), Vec::new());
@@ -2107,75 +1669,67 @@ mod tests {
     }
 
     #[test]
-    fn ft_and_eta_solves_agree() {
-        // Both update schemes applied to the same pivot sequence must
-        // produce identical solves (they represent the same basis).
-        let mut rng = StdRng::seed_from_u64(29);
-        for _ in 0..15 {
-            let m = rng.gen_range(4..10);
-            let ncols = m + 4;
+    fn factor_nnz_counts_the_factors_and_ignores_updates() {
+        // Read L and U back into dense step-space matrices, check that
+        // they reproduce the permuted basis, and count their nonzeros:
+        // `factor_nnz` is that count (L's unit diagonal excluded, U's
+        // diagonal included) and stays put while FT updates edit U.
+        let mut rng = StdRng::seed_from_u64(31);
+        for trial in 0..20 {
+            let m = rng.gen_range(3..12);
+            let ncols = m + 6;
             let mut rows = vec![vec![0.0; ncols]; m];
             for i in 0..m {
                 for j in 0..ncols {
-                    if rng.gen_bool(0.5) {
+                    if rng.gen_bool(0.4) {
                         rows[i][j] = rng.gen_range(-2.0..2.0);
                     }
                 }
                 rows[i][i] += 4.0;
-                rows[i][m + (i % 4).min(3)] += 1.0;
             }
             let a = csc_from_dense(&rows);
             let basis: Vec<usize> = (0..m).collect();
-            let mut ft = Factorization::new(m);
-            ft.set_mode(BasisUpdate::ForrestTomlin);
-            ft.refactor(&a, &basis, 1e-10).unwrap();
-            let mut eta = Factorization::new(m);
-            eta.refactor(&a, &basis, 1e-10).unwrap();
+            let mut f = Factorization::new(m);
+            f.refactor(&a, &basis, 1e-10).unwrap();
 
-            let mut live = basis.clone();
-            for _ in 0..3 {
-                let entering = rng.gen_range(m..ncols);
-                if live.contains(&entering) {
-                    continue;
+            let mut l = vec![vec![0.0; m]; m];
+            let mut u = vec![vec![0.0; m]; m];
+            for k in 0..m {
+                l[k][k] = 1.0;
+                for t in f.l_start[k]..f.l_start[k + 1] {
+                    l[f.l_steps[t] as usize][k] = f.l_vals[t];
                 }
-                let mut d_ft = WorkVec::with_dim(m);
-                ft.ftran_col(&a, entering, &mut d_ft);
-                let mut d_eta = WorkVec::with_dim(m);
-                eta.ftran_col(&a, entering, &mut d_eta);
-                for i in 0..m {
-                    assert!(
-                        (d_ft.vals[i] - d_eta.vals[i]).abs() < 1e-9,
-                        "ftran diverged at {i}"
-                    );
+                u[k][k] = f.ft.udiag[k];
+                for &(j, v) in &f.ft.ucols[k] {
+                    u[j as usize][k] = v;
                 }
-                let (pos, dp) = d_ft
+            }
+            for s in 0..m {
+                for k in 0..m {
+                    let lu: f64 = (0..m).map(|j| l[s][j] * u[j][k]).sum();
+                    let b = rows[f.rinv[s] as usize][basis[f.cinv[k] as usize]];
+                    assert!((lu - b).abs() < 1e-9, "trial {trial}: (LU)[{s}][{k}]");
+                }
+            }
+            let nnz = |mat: &[Vec<f64>]| mat.iter().flatten().filter(|&&x| x != 0.0).count();
+            let counted = nnz(&l) - m + nnz(&u);
+            assert_eq!(f.factor_nnz(), counted, "trial {trial}");
+
+            for entering in m..ncols {
+                let mut d = WorkVec::with_dim(m);
+                f.ftran_col(&a, entering, &mut d);
+                let (pos, dmax) = d
                     .vals
                     .iter()
                     .enumerate()
                     .max_by(|x, y| x.1.abs().partial_cmp(&y.1.abs()).unwrap())
-                    .map(|(i, &v)| (i, v))
+                    .map(|(i, &v)| (i, v.abs()))
                     .unwrap();
-                if dp.abs() < 1e-6 {
-                    continue;
+                if dmax < 1e-6 || !f.push_update(pos, &d, 1e-14) {
+                    break;
                 }
-                assert!(ft.push_update(pos, &d_ft, 1e-14));
-                assert!(eta.push_update(pos, &d_eta, 1e-14));
-                live[pos] = entering;
-
-                let mut rf = WorkVec::with_dim(m);
-                let mut re = WorkVec::with_dim(m);
-                for p in 0..m {
-                    ft.btran_unit(p, &mut rf);
-                    eta.btran_unit(p, &mut re);
-                    for i in 0..m {
-                        assert!(
-                            (rf.vals[i] - re.vals[i]).abs() < 1e-9,
-                            "btran diverged at unit {p} entry {i}"
-                        );
-                    }
-                }
+                assert_eq!(f.factor_nnz(), counted, "trial {trial}: moved by an update");
             }
-            assert!(ft.op_counts().ft_updates > 0 || eta.update_count() == 0);
         }
     }
 

@@ -22,20 +22,16 @@ use crate::presolve;
 use crate::solution::{Solution, Status};
 use crate::sparse::WorkVec;
 use crate::standard::StdForm;
-pub use lu::{BasisUpdate, RefactorCause};
-use lu::{Factorization, Singular};
+use lu::{Factorization, RefactorCause, Singular};
 
-/// Entering-variable pricing rule. Also selects the dual simplex's
-/// leaving-row rule: `Devex` maintains steepest-edge-style row weights,
-/// `SteepestEdge` exact-updates them, `Dantzig` takes the most-violated
-/// row.
+/// Entering-variable pricing rule. Also selects how the dual simplex
+/// keeps its leaving-row weights: `Devex` maintains steepest-edge-style
+/// approximations, `SteepestEdge` exact-updates them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Pricing {
     /// Devex reference weights (default): approximates steepest edge,
     /// far fewer iterations on degenerate time-indexed LPs.
     Devex,
-    /// Classic most-negative-reduced-cost. Kept for ablation benches.
-    Dantzig,
     /// Projected steepest edge: reference weights initialized at each
     /// refactorization and kept current by the exact Forrest–Goldfarb
     /// recurrences, fed by the FTRAN/BTRAN vectors each pivot already
@@ -43,18 +39,6 @@ pub enum Pricing {
     /// Devex on the tall time-indexed models; a little more per-pivot
     /// work.
     SteepestEdge,
-}
-
-/// Which LP core executes a solve.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum LpEngine {
-    /// Sparse revised simplex with LU factorization, product-form
-    /// updates, and hyper-sparse FTRAN/BTRAN (default).
-    #[default]
-    Sparse,
-    /// Dense tableau reference implementation. Slow but simple; kept as
-    /// an oracle and as an escape hatch (`--lp-engine dense`).
-    Dense,
 }
 
 /// Tuning knobs for [`Model::solve_with`].
@@ -69,7 +53,7 @@ pub struct SolverOptions {
     pub opt_tol: f64,
     /// Minimum acceptable pivot magnitude in the ratio test and LU.
     pub pivot_tol: f64,
-    /// Refactorize after this many eta updates.
+    /// Refactorize after this many basis updates.
     pub refactor_interval: usize,
     /// Apply geometric-mean equilibration scaling.
     pub scale: bool,
@@ -79,20 +63,6 @@ pub struct SolverOptions {
     pub bland_trigger: usize,
     /// Entering-variable pricing rule.
     pub pricing: Pricing,
-    /// How the LU factorization absorbs basis changes between
-    /// refactorizations: Forrest–Tomlin row spikes (default) or the
-    /// append-only product-form eta file kept as a differential oracle.
-    pub basis_update: BasisUpdate,
-    /// Partial (cyclic block) pricing: examine candidate columns in
-    /// blocks of this size and enter the best of the first block that
-    /// offers any improvement. `0` (default) scans every column each
-    /// iteration (full pricing). Blocks of a few thousand speed up
-    /// column-heavy single-path LPs by ~30%, but can increase iteration
-    /// counts on free-path LPs whose cost is FTRAN-bound — measure with
-    /// the `pricing/` bench group before enabling.
-    pub partial_pricing_block: usize,
-    /// Which LP core executes the solve.
-    pub engine: LpEngine,
 }
 
 impl Default for SolverOptions {
@@ -107,9 +77,6 @@ impl Default for SolverOptions {
             presolve: true,
             bland_trigger: 500,
             pricing: Pricing::Devex,
-            basis_update: BasisUpdate::ForrestTomlin,
-            partial_pricing_block: 0,
-            engine: LpEngine::Sparse,
         }
     }
 }
@@ -126,53 +93,91 @@ enum CStat {
     Free,
 }
 
-/// Entry point used by [`Model::solve_with`].
-///
-/// Wraps the sparse engine in the numerical-distress rescue ladder:
-/// a non-finite solution or an unrecoverable factorization failure
-/// triggers one retry with conservative options (eta updates, eager
-/// refactorization, looser pivot tolerance), and if that also
-/// distresses, the dense tableau oracle takes the solve. Every rescue
-/// is recorded in [`SolveStats::distress_retries`] /
+/// Entry point used by [`Model::solve_with`]: one cold solve (presolve,
+/// scaling, two-phase simplex) inside the [`rescue`] ladder.
+pub fn solve(model: &Model, options: &SolverOptions) -> Result<Solution, LpError> {
+    rescue(
+        model,
+        options,
+        || solve_attempt(model, options),
+        |retry| solve_attempt(model, retry),
+    )
+}
+
+/// What a rescued solve hands back: a [`Solution`], possibly with more.
+pub(crate) trait Rescued: Sized {
+    /// The solution, for the finiteness check and the rescue counters.
+    fn solution(&mut self) -> &mut Solution;
+    /// Packages a solution of the dense tableau oracle.
+    fn from_dense(model: &Model, sol: Solution) -> Self;
+}
+
+impl Rescued for Solution {
+    fn solution(&mut self) -> &mut Solution {
+        self
+    }
+
+    fn from_dense(_model: &Model, sol: Solution) -> Self {
+        sol
+    }
+}
+
+impl Rescued for (Solution, dual::Basis) {
+    fn solution(&mut self) -> &mut Solution {
+        &mut self.0
+    }
+
+    /// The tableau has no basis machinery: the snapshot is crashed from
+    /// the point.
+    fn from_dense(model: &Model, sol: Solution) -> Self {
+        let basis = dual::Basis::from_point(model, &sol.x);
+        (sol, basis)
+    }
+}
+
+/// The numerical-distress rescue ladder around one sparse solve: a
+/// non-finite solution or an unrecoverable factorization failure of
+/// `first` triggers one `retry` with [`conservative_options`], and if
+/// that also distresses, the dense tableau oracle takes the solve.
+/// Every rescue is recorded in [`SolveStats::distress_retries`] /
 /// [`SolveStats::dense_fallbacks`]; only when the whole ladder fails
 /// does the caller see a typed [`LpError::NumericalDistress`].
 ///
 /// [`SolveStats::distress_retries`]: crate::solution::SolveStats::distress_retries
 /// [`SolveStats::dense_fallbacks`]: crate::solution::SolveStats::dense_fallbacks
-pub fn solve(model: &Model, options: &SolverOptions) -> Result<Solution, LpError> {
-    if options.engine == LpEngine::Dense {
-        return crate::dense::solve(model).and_then(check_finite);
+pub(crate) fn rescue<T: Rescued>(
+    model: &Model,
+    options: &SolverOptions,
+    first: impl FnOnce() -> Result<T, LpError>,
+    retry: impl FnOnce(&SolverOptions) -> Result<T, LpError>,
+) -> Result<T, LpError> {
+    let finite = |mut t: T| check_finite(t.solution()).map(|()| t);
+    match first().and_then(finite) {
+        Err(e) if is_distress(&e) => {}
+        done => return done,
     }
-    match solve_attempt(model, options).and_then(check_finite) {
-        Ok(sol) => Ok(sol),
-        Err(e) if is_distress(&e) => {
-            let conservative = conservative_options(options);
-            match solve_attempt(model, &conservative).and_then(check_finite) {
-                Ok(mut sol) => {
-                    sol.stats.distress_retries += 1;
-                    Ok(sol)
-                }
-                Err(e2) if is_distress(&e2) => {
-                    match crate::dense::solve(model).and_then(check_finite) {
-                        Ok(mut sol) => {
-                            sol.stats.distress_retries += 1;
-                            sol.stats.dense_fallbacks += 1;
-                            Ok(sol)
-                        }
-                        Err(e3) => Err(into_distress(e3)),
-                    }
-                }
-                Err(e2) => Err(e2),
-            }
+    match retry(&conservative_options(options)).and_then(finite) {
+        Ok(mut t) => {
+            t.solution().stats.distress_retries += 1;
+            return Ok(t);
         }
-        Err(e) => Err(e),
+        Err(e) if is_distress(&e) => {}
+        Err(e) => return Err(e),
+    }
+    match crate::dense::solve(model).and_then(|sol| check_finite(&sol).map(|()| sol)) {
+        Ok(mut sol) => {
+            sol.stats.distress_retries += 1;
+            sol.stats.dense_fallbacks += 1;
+            Ok(T::from_dense(model, sol))
+        }
+        Err(e) => Err(into_distress(e)),
     }
 }
 
 /// Is this error a numerical symptom the rescue ladder can act on?
 /// (Infeasible / Unbounded / IterationLimit are *answers*, not
 /// distress, and propagate untouched.)
-pub(crate) fn is_distress(e: &LpError) -> bool {
+fn is_distress(e: &LpError) -> bool {
     matches!(
         e,
         LpError::NumericalFailure(_) | LpError::NumericalDistress { .. }
@@ -180,7 +185,7 @@ pub(crate) fn is_distress(e: &LpError) -> bool {
 }
 
 /// Rejects solutions carrying NaN/±∞ in the objective or primal point.
-pub(crate) fn check_finite(sol: Solution) -> Result<Solution, LpError> {
+fn check_finite(sol: &Solution) -> Result<(), LpError> {
     if !sol.objective.is_finite() {
         return Err(LpError::NumericalDistress {
             kind: crate::DistressKind::NonFiniteObjective,
@@ -193,20 +198,19 @@ pub(crate) fn check_finite(sol: Solution) -> Result<Solution, LpError> {
             detail: format!("x[{j}] came back {}", sol.x[j]),
         });
     }
-    Ok(sol)
+    Ok(())
 }
 
-/// The retry configuration of the rescue ladder: eta updates (simpler,
-/// better-understood numerics than FT spikes), eager refactorization,
+/// The retry configuration of the rescue ladder: a refactorization
+/// after every pivot (no update file at all, the ground truth the
+/// differential tests compare Forrest–Tomlin against), Devex pricing,
 /// and a looser pivot tolerance so near-singular pivots are declined
 /// rather than taken.
-pub(crate) fn conservative_options(options: &SolverOptions) -> SolverOptions {
+fn conservative_options(options: &SolverOptions) -> SolverOptions {
     SolverOptions {
-        basis_update: BasisUpdate::Eta,
-        refactor_interval: options.refactor_interval.clamp(1, 20),
+        refactor_interval: 1,
         pivot_tol: options.pivot_tol.max(1e-7),
         pricing: Pricing::Devex,
-        partial_pricing_block: 0,
         ..options.clone()
     }
 }
@@ -214,7 +218,7 @@ pub(crate) fn conservative_options(options: &SolverOptions) -> SolverOptions {
 /// Terminal conversion once the whole ladder is exhausted: untyped
 /// `NumericalFailure` messages become the typed distress the service
 /// layer keys its degrade ladder on.
-pub(crate) fn into_distress(e: LpError) -> LpError {
+fn into_distress(e: LpError) -> LpError {
     match e {
         LpError::NumericalFailure(msg) => {
             let kind = if msg.contains("unstable") || msg.contains("update") {
@@ -280,7 +284,7 @@ struct ScaledSolution {
     refactorizations: usize,
     /// FTRAN/BTRAN operation counters from the LU engine.
     ops: lu::OpCounts,
-    /// Workspace high-water estimate (factors + eta file + scratch).
+    /// Workspace high-water estimate (factors + row etas + scratch).
     peak_bytes: usize,
 }
 
@@ -377,8 +381,6 @@ struct Simplex<'a> {
     flip_pairs: Vec<(u32, f64)>,
     /// BFRT breakpoint list: `(ratio, |alpha|, column)`.
     breakpoints: Vec<(f64, f64, u32)>,
-    /// Cyclic partial-pricing cursor.
-    price_cursor: usize,
     /// Basis positions whose value may lie past a bound: every position
     /// violating a bound by more than half the feasibility tolerance is
     /// listed (stale entries are allowed and dropped lazily). Rebuilt at
@@ -442,11 +444,7 @@ impl<'a> Simplex<'a> {
             stat,
             pos_of,
             x,
-            facto: {
-                let mut f = Factorization::new(m);
-                f.set_mode(opt.basis_update);
-                f
-            },
+            facto: Factorization::new(m),
             z: vec![0.0; n],
             devex: vec![1.0; n],
             dual_w: vec![1.0; m],
@@ -466,7 +464,6 @@ impl<'a> Simplex<'a> {
             flip_work: WorkVec::with_dim(m),
             flip_pairs: Vec::new(),
             breakpoints: Vec::new(),
-            price_cursor: 0,
             infeas: Vec::new(),
             in_infeas: vec![false; m],
             fresh: None,
@@ -584,7 +581,7 @@ impl<'a> Simplex<'a> {
         }
     }
 
-    /// Workspace high-water estimate: LU factors + eta file + the
+    /// Workspace high-water estimate: LU factors + row etas + the
     /// solver's own dense and indexed scratch, from `Vec` capacities.
     fn workspace_bytes(&self) -> usize {
         use std::mem::size_of;
@@ -714,7 +711,7 @@ impl<'a> Simplex<'a> {
     }
 
     /// Refactors on the fixed cadence, or early when the update file's
-    /// fill (eta columns, or FT spikes + row etas) has outgrown the LU
+    /// fill (FT spikes + row etas) has outgrown the LU
     /// factors — FTRAN/BTRAN then cost more through the update chain
     /// than a fresh factorization would. Returns whether it refactored.
     fn maybe_refactor(&mut self, phase1: bool) -> Result<bool, LpError> {
@@ -890,8 +887,7 @@ impl<'a> Simplex<'a> {
         // Phase-1 reduced cost of column j is -y·a_j: only columns
         // intersecting y's nonzero rows can be eligible, so price
         // exactly those (row-oriented accumulation through the CSR
-        // mirror). Bland mode takes the smallest eligible index; partial
-        // pricing is moot since the candidate set is already restricted.
+        // mirror). Bland mode takes the smallest eligible index.
         self.accumulate_pivot_row(&db);
         self.rho_work = db;
         let touched = std::mem::take(&mut self.alpha_touched);
@@ -908,10 +904,7 @@ impl<'a> Simplex<'a> {
                     best = Some((j, zj, 0.0));
                 }
             } else {
-                let score = match self.opt.pricing {
-                    Pricing::Devex | Pricing::SteepestEdge => zj * zj / self.devex[j],
-                    Pricing::Dantzig => zj.abs(),
-                };
+                let score = zj * zj / self.devex[j];
                 if best.is_none_or(|(_, _, s)| score > s) {
                     best = Some((j, zj, score));
                 }
@@ -927,44 +920,25 @@ impl<'a> Simplex<'a> {
     // ---------------- Phase 2 ----------------
 
     fn phase2_step(&mut self) -> Result<StepOutcome, LpError> {
-        let n = self.sf.n;
-        let block = if self.bland || self.opt.partial_pricing_block == 0 {
-            n
-        } else {
-            self.opt.partial_pricing_block
-        };
+        // Full pricing: the best Devex score over every nonbasic column,
+        // or the first eligible one in Bland mode.
         let mut best: Option<(usize, f64, f64)> = None;
-        let mut pos = if self.bland { 0 } else { self.price_cursor % n };
-        let mut scanned = 0;
-        while scanned < n {
-            let j = pos;
-            pos += 1;
-            if pos == n {
-                pos = 0;
+        for j in 0..self.sf.n {
+            if self.stat[j] == CStat::Basic {
+                continue;
             }
-            scanned += 1;
-            if self.stat[j] != CStat::Basic {
-                let zj = self.z[j];
-                if self.eligible_direction(j, zj) != 0.0 {
-                    if self.bland {
-                        best = Some((j, zj, 0.0));
-                        break;
-                    }
-                    let score = match self.opt.pricing {
-                        Pricing::Devex | Pricing::SteepestEdge => zj * zj / self.devex[j],
-                        Pricing::Dantzig => zj.abs(),
-                    };
-                    if best.is_none_or(|(_, _, s)| score > s) {
-                        best = Some((j, zj, score));
-                    }
-                }
+            let zj = self.z[j];
+            if self.eligible_direction(j, zj) == 0.0 {
+                continue;
             }
-            if scanned % block == 0 && best.is_some() {
+            if self.bland {
+                best = Some((j, zj, 0.0));
                 break;
             }
-        }
-        if !self.bland {
-            self.price_cursor = pos;
+            let score = zj * zj / self.devex[j];
+            if best.is_none_or(|(_, _, s)| score > s) {
+                best = Some((j, zj, score));
+            }
         }
         let Some((q, zq, _)) = best else {
             return Ok(StepOutcome::OptimalOrFeasible);
@@ -1150,7 +1124,7 @@ impl<'a> Simplex<'a> {
             self.update_duals_after_pivot(q, r, zq, d.vals[r], &d);
         }
 
-        // Basis bookkeeping + factor update (FT spike or eta column).
+        // Basis bookkeeping + Forrest–Tomlin factor update.
         let updated = self.facto.push_update(r, &d, 1e-14);
         self.stat[jl] = if hit_upper {
             CStat::Upper

@@ -53,17 +53,15 @@ pub struct SolveStats {
     pub btran_solves: usize,
     /// Total result nonzeros across all BTRANs.
     pub btran_nnz: usize,
-    /// Workspace high-water estimate in bytes (LU factors, eta file,
+    /// Workspace high-water estimate in bytes (LU factors, row etas,
     /// and solver scratch, measured from vector capacities).
     pub peak_alloc_bytes: usize,
-    /// Forrest–Tomlin basis updates absorbed without refactorizing
-    /// (zero when the eta update path is selected).
+    /// Forrest–Tomlin basis updates absorbed without refactorizing.
     pub ft_updates: usize,
     /// Total spike-column nonzeros across all FT updates.
     pub spike_nnz: usize,
     /// Total update-file nonzeros appended between refactorizations:
-    /// eta-column entries, or FT spike + row-eta multiplier entries.
-    /// The fill ledger the FT-vs-eta comparison is judged on.
+    /// FT spike + row-eta multiplier entries (the fill ledger).
     pub update_nnz: usize,
     /// Refactorizations triggered by the fixed update-count cadence.
     pub refactor_interval: usize,
@@ -78,8 +76,8 @@ pub struct SolveStats {
     /// time that repair fell back to the all-slack basis.
     pub refactor_repair: usize,
     /// Numerical-distress rescues that re-ran the solve with
-    /// conservative options (tighter tolerances, eta updates, eager
-    /// refactorization) after the first attempt produced a non-finite
+    /// conservative options (looser pivot tolerance, a refactorization
+    /// after every pivot) after the first attempt produced a non-finite
     /// point or an unstable factorization.
     pub distress_retries: usize,
     /// Rescues that fell all the way through to the dense tableau

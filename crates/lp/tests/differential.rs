@@ -8,7 +8,7 @@
 
 #![allow(clippy::needless_range_loop)] // parallel-array test fixtures
 
-use coflow_lp::{dense, Cmp, LpEngine, LpError, Model, Sense, SolverOptions};
+use coflow_lp::{dense, Cmp, LpError, Model, Sense, SolverOptions};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -204,7 +204,7 @@ fn optimum_beats_random_feasible_points() {
 
 #[test]
 fn medium_sparse_lp_solves_and_is_feasible() {
-    // A larger random-but-feasible LP to exercise refactorization, eta
+    // A larger random-but-feasible LP to exercise refactorization, FT
     // updates, and Devex on something beyond toy size. Finite bounds on
     // every variable keep it bounded as well as feasible.
     let mut rng = StdRng::seed_from_u64(1234);
@@ -346,11 +346,7 @@ fn beale_cycling_example_terminates() {
         0.0,
     );
     m.add_constraint([(x3, 1.0)], Cmp::Le, 1.0);
-    for pricing in [
-        coflow_lp::Pricing::Devex,
-        coflow_lp::Pricing::Dantzig,
-        coflow_lp::Pricing::SteepestEdge,
-    ] {
+    for pricing in [coflow_lp::Pricing::Devex, coflow_lp::Pricing::SteepestEdge] {
         let opts = SolverOptions {
             pricing,
             presolve: false,
@@ -367,59 +363,19 @@ fn beale_cycling_example_terminates() {
 }
 
 #[test]
-fn partial_pricing_matches_full_pricing() {
-    let mut rng = StdRng::seed_from_u64(77);
-    for trial in 0..60 {
-        let (model, _) = random_feasible_lp(&mut rng, 8, 8);
-        let full = model.solve_with(&SolverOptions {
-            partial_pricing_block: 0,
-            ..Default::default()
-        });
-        let partial = model.solve_with(&SolverOptions {
-            partial_pricing_block: 3,
-            ..Default::default()
-        });
-        match (full, partial) {
-            (Ok(a), Ok(b)) => {
-                let scale = 1.0 + a.objective.abs();
-                assert!(
-                    (a.objective - b.objective).abs() / scale < 1e-6,
-                    "trial {trial}: full {} vs partial {}",
-                    a.objective,
-                    b.objective
-                );
-            }
-            (Err(ea), Err(eb)) => {
-                assert_eq!(std::mem::discriminant(&ea), std::mem::discriminant(&eb))
-            }
-            other => panic!("trial {trial}: {other:?}"),
-        }
-    }
-}
-
-#[test]
 fn engines_agree_on_presolved_random_lps() {
-    // Full-pipeline equivalence through the public engine knob: the
-    // sparse revised simplex with presolve and scaling on vs the dense
-    // tableau selected via `LpEngine::Dense`. Both land on a vertex
+    // Full-pipeline equivalence: the sparse revised simplex with
+    // presolve and scaling on vs the dense tableau. Both land on a vertex
     // optimum of the same polytope, so objectives must agree to 1e-9
     // relative — an order of magnitude tighter than the generic oracle
     // test above.
     let mut rng = StdRng::seed_from_u64(20_190_624);
-    let sparse_opts = SolverOptions::default();
-    let dense_opts = SolverOptions {
-        engine: LpEngine::Dense,
-        ..Default::default()
-    };
     let mut optimal = 0;
     for trial in 0..200 {
         let nvars = rng.gen_range(2..10);
         let nrows = rng.gen_range(1..10);
         let (model, _x0) = random_feasible_lp(&mut rng, nvars, nrows);
-        match (
-            model.solve_with(&sparse_opts),
-            model.solve_with(&dense_opts),
-        ) {
+        match (model.solve(), dense::solve(&model)) {
             (Ok(s), Ok(d)) => {
                 optimal += 1;
                 let scale = 1.0 + s.objective.abs().max(d.objective.abs());
@@ -516,20 +472,13 @@ fn warm_epochs_match_dense_oracle() {
 #[test]
 fn ft_eta_and_full_refactor_epoch_chains_agree() {
     // The same epoch chains as `warm_epochs_match_dense_oracle`, run
-    // three ways in lock-step: Forrest–Tomlin updates (the default), the
-    // eta-file oracle, and refactorize-every-pivot (`refactor_interval:
-    // 1`, the no-update-file ground truth). All three must match the
-    // dense tableau to 1e-9 at every epoch and hand back structurally
-    // valid bases (exactly one basic variable per row).
+    // two ways in lock-step: Forrest–Tomlin updates (the default) and
+    // refactorize-every-pivot (`refactor_interval: 1`, the
+    // no-update-file ground truth). Both must match the dense tableau to
+    // 1e-9 at every epoch and hand back structurally valid bases
+    // (exactly one basic variable per row).
     let variants = [
-        SolverOptions {
-            basis_update: coflow_lp::BasisUpdate::ForrestTomlin,
-            ..Default::default()
-        },
-        SolverOptions {
-            basis_update: coflow_lp::BasisUpdate::Eta,
-            ..Default::default()
-        },
+        SolverOptions::default(),
         SolverOptions {
             refactor_interval: 1,
             ..Default::default()

@@ -3,7 +3,7 @@
 //! Two consumers drive the design:
 //!
 //! * the figure harnesses in `coflow-bench` fan independent *scenario
-//!   points* out over worker threads ([`SweepPool`], unchanged API), and
+//!   points* out over worker threads ([`Runtime::run`]), and
 //! * the scheduler service in `coflow-service` runs N tenant fabrics
 //!   (and, within a tenant, per-port-group shards) concurrently through
 //!   an explicit [`Runtime::scope`] / [`TaskScope::spawn`] API.
@@ -279,58 +279,13 @@ impl Runtime {
     }
 }
 
-/// A fixed-width pool that maps a batch of items through a function in
-/// parallel, preserving input order in the output.
-///
-/// Thin wrapper over [`Runtime::run`], kept as the stable entry point
-/// for the figure harnesses in `coflow-bench` (which re-exports it).
-#[derive(Clone, Debug, Default)]
-pub struct SweepPool {
-    rt: Runtime,
-}
-
-impl SweepPool {
-    /// Pool sized to the machine (or [`THREADS_ENV`] when set).
-    pub fn new() -> Self {
-        SweepPool { rt: Runtime::new() }
-    }
-
-    /// Pool with an explicit worker count (`>= 1`).
-    pub fn with_workers(workers: usize) -> Self {
-        SweepPool {
-            rt: Runtime::with_workers(workers),
-        }
-    }
-
-    /// Number of worker threads `run` will use.
-    pub fn workers(&self) -> usize {
-        self.rt.workers()
-    }
-
-    /// Underlying [`Runtime`], for callers that also need `scope`.
-    pub fn runtime(&self) -> &Runtime {
-        &self.rt
-    }
-
-    /// Computes `f(i, &items[i])` for every item, in parallel, returning
-    /// results in input order. Panics in `f` propagate to the caller.
-    pub fn run<I, T, F>(&self, items: &[I], f: F) -> Vec<T>
-    where
-        I: Sync,
-        T: Send,
-        F: Fn(usize, &I) -> T + Sync,
-    {
-        self.rt.run(items, f)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn preserves_input_order() {
-        let pool = SweepPool::with_workers(4);
+        let pool = Runtime::with_workers(4);
         let items: Vec<usize> = (0..97).collect();
         let out = pool.run(&items, |i, &x| {
             assert_eq!(i, x);
@@ -343,21 +298,21 @@ mod tests {
     fn single_worker_matches_parallel() {
         let items: Vec<u64> = (0..40).collect();
         let f = |_: usize, &x: &u64| x.wrapping_mul(0x9e3779b97f4a7c15) >> 7;
-        let serial = SweepPool::with_workers(1).run(&items, f);
-        let parallel = SweepPool::with_workers(8).run(&items, f);
+        let serial = Runtime::with_workers(1).run(&items, f);
+        let parallel = Runtime::with_workers(8).run(&items, f);
         assert_eq!(serial, parallel);
     }
 
     #[test]
     fn empty_batch() {
-        let pool = SweepPool::with_workers(2);
+        let pool = Runtime::with_workers(2);
         let out: Vec<u32> = pool.run(&[] as &[u32], |_, &x| x);
         assert!(out.is_empty());
     }
 
     #[test]
     fn more_workers_than_items() {
-        let pool = SweepPool::with_workers(16);
+        let pool = Runtime::with_workers(16);
         let out = pool.run(&[1, 2, 3], |_, &x| x + 1);
         assert_eq!(out, vec![2, 3, 4]);
     }
