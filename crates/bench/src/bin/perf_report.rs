@@ -47,6 +47,10 @@
 //!    clocks are noise), journaling costs ≤ 1.10× + 25 ms over the
 //!    plain run.
 //!
+//! Scenarios 1, 3 and 5 also report `infeasible_certified` and
+//! `infeasible_solved`: the infeasible epoch answers the resolver's load
+//! certificate gave without an LP solve, and those an LP solve found.
+//!
 //! Exit is non-zero when the warm path fails its bar: iterations must be
 //! strictly below cold in `--quick` mode, and at least 2× below on the
 //! full online replay (the PR's acceptance criterion).
@@ -561,8 +565,19 @@ fn online_fb2010(quick: bool) -> Scenario {
         objective_max_rel_diff: Some(drift),
         size: None,
         stats: Some(run.lp_stats),
-        extra: Vec::new(),
+        extra: infeasible_answers(run.certified_infeasible, run.solved_infeasible),
     }
+}
+
+/// The `infeasible_certified` / `infeasible_solved` fields of the
+/// online scenarios: infeasible epoch answers the resolver's load
+/// certificate gave without an LP solve, and those an LP solve found.
+/// Each one is followed by a horizon growth.
+fn infeasible_answers(certified: usize, solved: usize) -> Vec<(String, f64)> {
+    vec![
+        ("infeasible_certified".into(), certified as f64),
+        ("infeasible_solved".into(), solved as f64),
+    ]
 }
 
 /// Scenario 2: the interval LP across an ε ladder, basis-chained vs
@@ -673,7 +688,10 @@ fn online_ablation(quick: bool, seed: u64) -> Vec<Scenario> {
             objective_max_rel_diff: None,
             size: None,
             stats: None,
-            extra: Vec::new(),
+            extra: infeasible_answers(
+                stats.certified_infeasible as usize,
+                stats.solved_infeasible as usize,
+            ),
         })
         .collect()
 }
@@ -906,6 +924,8 @@ fn service_replay(quick: bool) -> Scenario {
         .map(|(o, _)| o.cold_iterations.unwrap_or(0) as u64)
         .sum();
     let resolves: u64 = runs.iter().map(|(o, _)| o.resolves as u64).sum();
+    let certified: usize = runs.iter().map(|(o, _)| o.certified_infeasible).sum();
+    let solved: usize = runs.iter().map(|(o, _)| o.solved_infeasible).sum();
     let mut stats = SolveStats::default();
     let mut epoch_ms = Vec::new();
     for (o, m) in &runs {
@@ -930,7 +950,7 @@ fn service_replay(quick: bool) -> Scenario {
         objective_max_rel_diff: Some(drift),
         size: None,
         stats: Some(stats),
-        extra: vec![
+        extra: [
             ("tenants".into(), SERVICE_TENANTS as f64),
             ("coflows_admitted".into(), admitted as f64),
             (
@@ -939,7 +959,10 @@ fn service_replay(quick: bool) -> Scenario {
             ),
             ("epoch_ms_p50".into(), percentile(&epoch_ms, 50.0)),
             ("epoch_ms_p99".into(), percentile(&epoch_ms, 99.0)),
-        ],
+        ]
+        .into_iter()
+        .chain(infeasible_answers(certified, solved))
+        .collect(),
     }
 }
 

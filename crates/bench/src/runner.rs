@@ -53,6 +53,11 @@ pub struct PointStats {
     pub lp_iterations: u64,
     /// LP re-solves/batches the online frameworks performed.
     pub resolves: u64,
+    /// Infeasible answers of the online frameworks' resolvers that the
+    /// load certificate gave without an LP solve.
+    pub certified_infeasible: u64,
+    /// Infeasible answers that took an LP solve.
+    pub solved_infeasible: u64,
 }
 
 /// One row of a figure (a workload, or an ε value for Figure 8).
@@ -121,12 +126,11 @@ pub fn point_outcome(
 pub fn stats_of(outcomes: &[(&'static str, SolveOutcome)]) -> PointStats {
     let mut stats = PointStats::default();
     for (_, out) in outcomes {
+        let aux = |key: &str| out.aux(key).unwrap_or(0.0) as u64;
         stats.lp_iterations += out.lp_iterations.unwrap_or(0) as u64;
-        for key in ["resolves", "batches"] {
-            if let Some(v) = out.aux(key) {
-                stats.resolves += v as u64;
-            }
-        }
+        stats.resolves += aux("resolves") + aux("batches");
+        stats.certified_infeasible += aux("certified_infeasible");
+        stats.solved_infeasible += aux("solved_infeasible");
     }
     stats
 }

@@ -17,8 +17,10 @@
 //!
 //! Both steps grow the model when it is too short, with two rules:
 //! `max(needed, ⌈1.5h⌉)` before activating flows past the horizon `h`,
-//! and `⌈1.5h⌉ + 1` after an infeasible solve, at most
-//! [`GROWTH_BUDGET`] times per solve. Both go through
+//! and `⌈1.5h⌉ + 1` after an infeasible answer, at most
+//! [`GROWTH_BUDGET`] times per solve. That answer comes either from the
+//! resolver's load certificate, without an LP solve, or from an LP
+//! solve (see [`TimeIndexedResolver::solve`]). Both go through
 //! [`TimeIndexedResolver::grow_horizon`]: once the resolver has solved,
 //! the live model grows in place and the next solve stays warm; before
 //! that it is rebuilt from the logs.
@@ -343,7 +345,7 @@ impl<'a> EpochDriver<'a> {
     }
 
     /// Solves the current model, growing the horizon to `⌈1.5h⌉ + 1`
-    /// after each infeasible attempt, and records the solve. Returns the
+    /// after each infeasible answer, and records the solve. Returns the
     /// relaxation and the shadow-cold iterations.
     fn solve(&mut self) -> Result<(LpRelaxation, Option<usize>), CoflowError> {
         let mut budget = GROWTH_BUDGET;

@@ -86,6 +86,11 @@ pub struct BatchedOutcome {
     pub dispatched_at: Vec<u32>,
     /// Total simplex iterations across the per-batch solves.
     pub lp_iterations: usize,
+    /// Infeasible answers the resolver's load certificate gave without
+    /// an LP solve (see [`TimeIndexedResolver::solve`]).
+    pub certified_infeasible: usize,
+    /// Infeasible answers that took an LP solve.
+    pub solved_infeasible: usize,
 }
 
 /// The batch boundary a coflow with full release `r` joins under the
@@ -157,6 +162,8 @@ pub fn interval_batch_online_with(
         batches: dispatched_at.len(),
         dispatched_at,
         lp_iterations: driver.resolver().total_iterations(),
+        certified_infeasible: driver.resolver().certified_infeasible(),
+        solved_infeasible: driver.resolver().solved_infeasible(),
         schedule: driver.into_schedule(),
     })
 }

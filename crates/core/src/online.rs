@@ -72,6 +72,11 @@ pub struct OnlineOutcome {
     /// Horizon growths the resolver needed, in place or rebuilt (0 when
     /// the initial greedy estimate covered the whole run).
     pub rebuilds: usize,
+    /// Infeasible answers the resolver's load certificate gave without
+    /// an LP solve (see [`TimeIndexedResolver::solve`]).
+    pub certified_infeasible: usize,
+    /// Infeasible answers that took an LP solve.
+    pub solved_infeasible: usize,
 }
 
 /// Runs the online re-solving heuristic with default options (warm
@@ -135,6 +140,8 @@ pub fn online_heuristic_with(
         cold_iterations: shadow.then(|| driver.cold_iterations()),
         cold_objectives: shadow.then(|| driver.cold_objectives().to_vec()),
         rebuilds: driver.rebuilds(),
+        certified_infeasible: driver.resolver().certified_infeasible(),
+        solved_infeasible: driver.resolver().solved_infeasible(),
         schedule: driver.into_schedule(),
     })
 }

@@ -28,6 +28,14 @@
 //!   Growth is common, not rare: perfbench's `serve_fleet` workload
 //!   grows about once per tenant.
 //!
+//! Two things keep growth cheap. A per-node load certificate (kept up
+//! to date from the logs) answers most infeasible epochs without an LP
+//! solve: when the unfixed demand a node sources or sinks cannot fit in
+//! its capacity over the open slots, [`solve`](TimeIndexedResolver::solve)
+//! returns `None` straight away. And the in-place growth patches the
+//! kept basis so it stays nonsingular and primal feasible for the flows
+//! the last optimum served: the dual simplex only schedules what is new.
+//!
 //! The model lives on the *global* timeline of the original instance:
 //! flow variables start at the flow's activation slot, and executed
 //! history stays in the model as fixed variables. The first solve is
@@ -48,8 +56,10 @@ use crate::error::CoflowError;
 use crate::model::{Coflow, CoflowInstance};
 use crate::routing::Routing;
 use crate::timeidx::{self, Built, FlowVars, LpRelaxation, LpSize, XChain};
-use coflow_lp::{slot_block_crash, Basis, Cmp, ConstraintId, Model, Pricing, SolverOptions, VarId};
-use coflow_netgraph::EdgeId;
+use coflow_lp::{
+    slot_block_crash, Basis, BasisStatus, Cmp, ConstraintId, Model, Pricing, SolverOptions, VarId,
+};
+use coflow_netgraph::{EdgeId, NodeId};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 
@@ -74,8 +84,11 @@ pub struct TimeIndexedResolver<'a> {
     // Replay logs for `rebuild`.
     activations: Vec<(usize, usize, u32)>,
     fixes: Vec<(usize, usize, u32, f64)>,
+    certificate: LoadCertificate,
     // Instrumentation.
     resolves: usize,
+    certified_infeasible: usize,
+    solved_infeasible: usize,
     total_iterations: usize,
     last_iterations: usize,
     last_was_warm: bool,
@@ -150,7 +163,10 @@ impl<'a> TimeIndexedResolver<'a> {
             solved_once: false,
             activations: Vec::new(),
             fixes: Vec::new(),
+            certificate: LoadCertificate::default(),
             resolves: 0,
+            certified_infeasible: 0,
+            solved_infeasible: 0,
             total_iterations: 0,
             last_iterations: 0,
             last_was_warm: false,
@@ -216,9 +232,22 @@ impl<'a> TimeIndexedResolver<'a> {
         self.horizon
     }
 
-    /// LP re-solves performed so far.
+    /// LP solves run so far. An infeasible answer from the load
+    /// certificate runs no LP and is not counted here (see
+    /// [`certified_infeasible`](Self::certified_infeasible)).
     pub fn resolves(&self) -> usize {
         self.resolves
+    }
+
+    /// Infeasible answers the load certificate gave without an LP solve.
+    pub fn certified_infeasible(&self) -> usize {
+        self.certified_infeasible
+    }
+
+    /// Infeasible answers that took an LP solve to find (counted in
+    /// [`resolves`](Self::resolves)).
+    pub fn solved_infeasible(&self) -> usize {
+        self.solved_infeasible
     }
 
     /// Simplex iterations across all solves.
@@ -246,7 +275,7 @@ impl<'a> TimeIndexedResolver<'a> {
     ///
     /// [`CoflowError::BadInstance`] when `first_slot` lies outside
     /// `1..=horizon` — grow the horizon with
-    /// [`Self::rebuild`](TimeIndexedResolver::rebuild) first.
+    /// [`grow_horizon`](Self::grow_horizon) first.
     pub fn activate_flow(
         &mut self,
         j: usize,
@@ -320,15 +349,29 @@ impl<'a> TimeIndexedResolver<'a> {
 
     /// Re-solves the current model, warm-starting from the kept basis
     /// when one exists (and `warm` is on). `Ok(None)` reports
-    /// infeasibility — the caller should [`Self::rebuild`] with a larger
-    /// horizon.
+    /// infeasibility — the caller should
+    /// [`grow_horizon`](Self::grow_horizon) and solve again.
     ///
-    /// [`Self::rebuild`]: TimeIndexedResolver::rebuild
+    /// Before any LP work, the load certificate checks that every node's
+    /// unfixed demand fits in its capacity over the open slots. When it
+    /// does not, the answer is `None` without an LP solve: no model is
+    /// built, the basis and [`last_was_warm`](Self::last_was_warm) stay
+    /// as they are, and neither [`resolves`](Self::resolves) nor
+    /// [`total_iterations`](Self::total_iterations) moves; only
+    /// [`certified_infeasible`](Self::certified_infeasible) counts it.
+    /// The certificate fires only where the LP is infeasible too.
     ///
     /// # Errors
     ///
     /// Any LP failure other than infeasibility.
     pub fn solve(&mut self, opts: &SolverOptions) -> Result<Option<LpRelaxation>, CoflowError> {
+        if self
+            .certificate
+            .refutes(&self.inst, self.horizon, &self.activations, &self.fixes)
+        {
+            self.certified_infeasible += 1;
+            return Ok(None);
+        }
         self.ensure_built()?;
         self.resolves += 1;
         let built = self.built.as_ref().expect("ensured above");
@@ -363,7 +406,10 @@ impl<'a> TimeIndexedResolver<'a> {
                         size,
                     )))
                 }
-                Err(coflow_lp::LpError::Infeasible) => Ok(None),
+                Err(coflow_lp::LpError::Infeasible) => {
+                    self.solved_infeasible += 1;
+                    Ok(None)
+                }
                 Err(e) => Err(e.into()),
             };
         }
@@ -395,7 +441,10 @@ impl<'a> TimeIndexedResolver<'a> {
                     size,
                 )))
             }
-            Err(coflow_lp::LpError::Infeasible) => Ok(None),
+            Err(coflow_lp::LpError::Infeasible) => {
+                self.solved_infeasible += 1;
+                Ok(None)
+            }
             Err(e) => Err(e.into()),
         }
     }
@@ -425,9 +474,9 @@ impl<'a> TimeIndexedResolver<'a> {
     /// live model in place: every active flow gets the new slots, its
     /// demand row moves to the new last prefix, every coflow chain gains
     /// the new `X_j(t)` and its completion right-hand side becomes
-    /// `1 + new_horizon`. The kept basis grows with the model, so the
-    /// next solve is warm: the dual simplex flips the new `X` columns to
-    /// their upper bound and repairs the rest. A resolver that has never
+    /// `1 + new_horizon`. The kept basis grows with the model and stays
+    /// nonsingular (see `grow_in_place`), so the next solve is warm and
+    /// factors without a repair. A resolver that has never
     /// solved has no basis worth keeping and
     /// [`rebuild`](Self::rebuild)s from its logs instead. Panics if the
     /// horizon shrinks.
@@ -577,15 +626,25 @@ impl<'a> TimeIndexedResolver<'a> {
     /// active flow gets slots `T+1 ..= new_horizon` and its demand row
     /// moves to the new last prefix; every coflow chain gets the new
     /// `X_j(t)`, linked to each active flow, in its completion row, whose
-    /// right-hand side becomes `1 + new_horizon`. The kept basis grows
-    /// with the model.
+    /// right-hand side becomes `1 + new_horizon`.
+    ///
+    /// The kept basis grows with the model, and each flow's new prefixes
+    /// `S_f(T+1 ..= T')` become basic in place of their prefix rows'
+    /// slacks. Ordered after the old basis, that block is unit lower
+    /// bidiagonal, and its Schur complement is the old basis itself: the
+    /// only old column that changed, `S_f(T)`, lost its demand-row entry,
+    /// and the complement puts it back. So the grown basis factors
+    /// without a repair, and with the new slots idle its basic values
+    /// are the old ones plus `S_f(t) = S_f(T)` for the new `t`, primal
+    /// feasible for every flow the last optimum served.
     fn grow_in_place(&mut self, new_horizon: u32) {
         let from = self.horizon + 1;
         self.horizon = new_horizon;
         // The activation log names every active flow once.
+        let mut prefixes = Vec::new();
         for k in 0..self.activations.len() {
             let (j, i, _) = self.activations[k];
-            self.emit_slots(j, i, from, new_horizon);
+            prefixes.extend(self.emit_slots(j, i, from, new_horizon));
         }
         let built = self.built.as_mut().expect("grow after build");
         let model = &mut built.model;
@@ -607,6 +666,10 @@ impl<'a> TimeIndexedResolver<'a> {
         }
         if let Some(b) = &mut self.basis {
             b.grow(model.num_vars(), model.num_constraints());
+            for (s, row) in prefixes {
+                b.vars[s.index()] = BasisStatus::Basic;
+                b.rows[row.index()] = BasisStatus::Lower;
+            }
         }
     }
 
@@ -615,8 +678,9 @@ impl<'a> TimeIndexedResolver<'a> {
     /// variables (per kind, in the offline build's per-flow layout), the
     /// prefix rows, the demand row on the new last prefix (added for a
     /// new flow, moved for a grown one), and the capacity terms — plus
-    /// the conservation rows under free path.
-    fn emit_slots(&mut self, j: usize, i: usize, from: u32, to: u32) {
+    /// the conservation rows under free path. Returns the new prefix
+    /// variables `S_f(t)`, each with its prefix row.
+    fn emit_slots(&mut self, j: usize, i: usize, from: u32, to: u32) -> Vec<(VarId, ConstraintId)> {
         let built = self.built.as_mut().expect("emit after build");
         let model = &mut built.model;
         let fv = &mut built.flow_vars[j][i];
@@ -654,6 +718,7 @@ impl<'a> TimeIndexedResolver<'a> {
         }
 
         // ---- Prefix chain + total demand ----
+        let mut prefixes = Vec::with_capacity(slots.len());
         for idx in slots.clone() {
             let mut terms: Vec<(VarId, f64)> = vec![(fv.s[idx], 1.0)];
             if idx > 0 {
@@ -667,7 +732,7 @@ impl<'a> TimeIndexedResolver<'a> {
                 }
                 _ => terms.push((fv.x[idx], -1.0)),
             }
-            model.add_constraint(terms, Cmp::Eq, 0.0);
+            prefixes.push((fv.s[idx], model.add_constraint(terms, Cmp::Eq, 0.0)));
         }
         let last = fv.s[slots.end - 1];
         match fv.demand {
@@ -740,6 +805,7 @@ impl<'a> TimeIndexedResolver<'a> {
                 }
             }
         }
+        prefixes
     }
 
     /// Looks up (or creates, with empty terms) the capacity row of
@@ -802,13 +868,156 @@ fn link_rows(
     }
 }
 
+/// How far a node's unfixed load must exceed its open capacity, relative
+/// to capacity and to the node's demand, before [`LoadCertificate`]
+/// refutes the LP. It is far above the LP's summed feasibility
+/// tolerances, so near-tight loads are always left to the LP.
+const CERTIFICATE_MARGIN: f64 = 1e-3;
+
+/// A necessary condition for the time-indexed LP to be feasible, checked
+/// per node without building or solving it.
+///
+/// Whatever path it takes, a flow's unfixed demand `d_f·(1 − Σ fixed
+/// fractions)` leaves its source, and enters its sink, in the flow's
+/// open slots (active and not fixed). So the unfixed demand of the flows
+/// a node sources must fit in the node's out-capacity times the number
+/// of slots in which at least one of them is open, and likewise for
+/// sinks and in-capacity. This holds under every routing; on a port
+/// fabric whose flows share one open window it is also sufficient.
+///
+/// The state follows the resolver's activation and fix logs: each check
+/// applies only the entries logged since the previous one, plus any
+/// horizon growth.
+#[derive(Default)]
+struct LoadCertificate {
+    horizon: u32,
+    /// Entries of the activation and fix logs applied so far.
+    activations: usize,
+    fixes: usize,
+    /// Per active flow: its first slot, and the fraction fixed in each
+    /// slot from there on (negative while open), the last fix winning.
+    flows: BTreeMap<(usize, usize), (u32, Vec<f64>)>,
+    /// The load on each node's out-capacity (`(v, false)`) and
+    /// in-capacity (`(v, true)`), for nodes that source or sink a flow.
+    sides: BTreeMap<(NodeId, bool), SideLoad>,
+}
+
+/// The flows one node sources (or sinks), aggregated.
+#[derive(Default)]
+struct SideLoad {
+    /// Capacity of the node's out- (or in-) edges.
+    capacity: f64,
+    /// Active flows.
+    flows: u32,
+    /// Their total demand `Σ d_f`.
+    demand: f64,
+    /// Their fixed volume `Σ d_f·fraction`.
+    shipped: f64,
+    /// Per slot `t` (at `t − 1`): how many of the flows have `t` open.
+    open: Vec<u32>,
+    /// Slots with at least one of the flows open.
+    open_slots: u32,
+}
+
+impl SideLoad {
+    fn open_slot(&mut self, t: u32) {
+        let n = &mut self.open[t as usize - 1];
+        *n += 1;
+        if *n == 1 {
+            self.open_slots += 1;
+        }
+    }
+
+    fn close_slot(&mut self, t: u32) {
+        let n = &mut self.open[t as usize - 1];
+        *n -= 1;
+        if *n == 0 {
+            self.open_slots -= 1;
+        }
+    }
+
+    /// Whether the unfixed demand overflows the open capacity by more
+    /// than the margin.
+    fn overloaded(&self) -> bool {
+        let room = self.capacity * f64::from(self.open_slots);
+        self.demand - self.shipped > room + CERTIFICATE_MARGIN * (room + self.demand)
+    }
+}
+
+impl LoadCertificate {
+    /// Brings the state up to `horizon` and the logs, then reports
+    /// whether some node's load refutes feasibility.
+    fn refutes(
+        &mut self,
+        inst: &CoflowInstance,
+        horizon: u32,
+        activations: &[(usize, usize, u32)],
+        fixes: &[(usize, usize, u32, f64)],
+    ) -> bool {
+        if horizon > self.horizon {
+            // Every active flow spans the whole horizon, so the new
+            // slots are open for all of them.
+            let grown = horizon - self.horizon;
+            for side in self.sides.values_mut() {
+                side.open.resize(horizon as usize, side.flows);
+                side.open_slots += grown;
+            }
+            self.horizon = horizon;
+        }
+        let g = &inst.graph;
+        for &(j, i, start) in &activations[self.activations..] {
+            self.flows.insert((j, i), (start, Vec::new()));
+            let f = &inst.coflows[j].flows[i];
+            for (v, sinks) in [(f.src, false), (f.dst, true)] {
+                let side = self.sides.entry((v, sinks)).or_insert_with(|| {
+                    let edges = if sinks { g.in_edges(v) } else { g.out_edges(v) };
+                    SideLoad {
+                        capacity: edges.iter().map(|&e| g.capacity(e)).sum(),
+                        open: vec![0; horizon as usize],
+                        ..SideLoad::default()
+                    }
+                });
+                side.flows += 1;
+                side.demand += f.demand;
+                for t in start..=horizon {
+                    side.open_slot(t);
+                }
+            }
+        }
+        self.activations = activations.len();
+        for &(j, i, slot, fraction) in &fixes[self.fixes..] {
+            let (start, fixed) = self.flows.get_mut(&(j, i)).expect("fixed flows are active");
+            let idx = (slot - *start) as usize;
+            if fixed.len() <= idx {
+                fixed.resize(idx + 1, -1.0);
+            }
+            let before = std::mem::replace(&mut fixed[idx], fraction);
+            let f = &inst.coflows[j].flows[i];
+            for key in [(f.src, false), (f.dst, true)] {
+                let side = self.sides.get_mut(&key).expect("active flows have sides");
+                if before < 0.0 {
+                    side.close_slot(slot);
+                } else {
+                    side.shipped -= f.demand * before;
+                }
+                side.shipped += f.demand * fraction;
+            }
+        }
+        self.fixes = fixes.len();
+        self.sides.values().any(SideLoad::overloaded)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::horizon::{horizon, HorizonMode};
     use crate::model::{Coflow, Flow};
     use crate::timeidx::solve_time_indexed;
+    use coflow_netgraph::gadget::{with_io_gadget, IoLimit};
     use coflow_netgraph::topology;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn fig2_instance() -> CoflowInstance {
         let topo = topology::fig2_example();
@@ -979,8 +1188,7 @@ mod tests {
     }
 
     fn growth_routings(inst: &CoflowInstance) -> Vec<Routing> {
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        let mut rng = StdRng::seed_from_u64(3);
         vec![
             Routing::FreePath,
             crate::routing::random_shortest_paths(inst, &mut rng).unwrap(),
@@ -996,7 +1204,8 @@ mod tests {
     }
 
     /// The grown model is the LP a rebuild from the same logs at the same
-    /// horizon builds, and it re-solves warm to the cold optimum.
+    /// horizon builds, and it re-solves warm, without a basis repair, to
+    /// the cold optimum.
     fn assert_matches_rebuild(r: &mut TimeIndexedResolver<'_>, opts: &SolverOptions) {
         let (grown, _) = r.probe_cold(opts).unwrap().expect("grown model feasible");
         let mut fresh = TimeIndexedResolver::new_owned(
@@ -1015,6 +1224,8 @@ mod tests {
         );
         let warm = r.solve(opts).unwrap().expect("feasible after growth");
         assert!(r.last_was_warm());
+        // The patched basis factors as it is.
+        assert_eq!(warm.stats.refactor_repair, 0, "grown basis needed a repair");
         assert!(
             (warm.objective - grown).abs() <= 1e-6 * (1.0 + grown.abs()),
             "warm {} vs cold probe {grown}",
@@ -1094,5 +1305,181 @@ mod tests {
         assert!(!r.solved_once);
         r.activate_flow(1, 0, 4).unwrap();
         assert!(r.solve(&opts).unwrap().is_some());
+    }
+
+    /// Endpoints for random flows: the inner port nodes of a 4-port big
+    /// switch whose port limits come from the I/O gadget, or any two
+    /// SWAN sites. Returns the graph, sources, sinks and a demand scale
+    /// that overloads some nodes of a few-slot horizon.
+    fn endpoints(switch: bool) -> (coflow_netgraph::Graph, Vec<NodeId>, Vec<NodeId>, f64) {
+        if switch {
+            let fabric = topology::bipartite_switch(4, 1.0);
+            let limits = vec![IoLimit::symmetric(1.0); fabric.graph.node_count()];
+            let gg = with_io_gadget(&fabric.graph, &limits);
+            let inner =
+                |vs: &[NodeId]| -> Vec<NodeId> { vs.iter().map(|v| gg.inner[v.index()]).collect() };
+            let (srcs, dsts) = (inner(&fabric.sources), inner(&fabric.sinks));
+            (gg.graph, srcs, dsts, 2.5)
+        } else {
+            let g = topology::swan().graph;
+            let all: Vec<NodeId> = g.nodes().collect();
+            (g, all.clone(), all, 45.0)
+        }
+    }
+
+    /// One of the three routing models, by `kind`.
+    fn routing_of(inst: &CoflowInstance, kind: usize, rng: &mut StdRng) -> Routing {
+        match kind {
+            0 => Routing::FreePath,
+            1 => crate::routing::random_shortest_paths(inst, rng).unwrap(),
+            _ => crate::routing::k_shortest_path_sets(inst, 2).unwrap(),
+        }
+    }
+
+    /// Solves `r` and reports whether the load certificate answered.
+    /// Whenever it does, the LP on the same model must be infeasible.
+    fn certified(r: &mut TimeIndexedResolver<'_>, opts: &SolverOptions) -> bool {
+        let before = (r.certified_infeasible(), r.resolves());
+        let out = r.solve(opts).unwrap();
+        if r.certified_infeasible() == before.0 {
+            return false;
+        }
+        assert!(out.is_none());
+        assert_eq!(r.resolves(), before.1, "a certified answer runs no LP");
+        r.ensure_built().unwrap();
+        assert!(
+            r.probe_cold(opts).unwrap().is_none(),
+            "the certificate refuted a feasible LP"
+        );
+        true
+    }
+
+    /// Fixes a random slot of each active flow with probability 1/2, at
+    /// a random fraction (the slot may have been fixed before).
+    fn fix_some(r: &mut TimeIndexedResolver<'_>, rng: &mut StdRng) {
+        r.ensure_built().unwrap();
+        for (j, i, start) in r.activations().to_vec() {
+            if rng.gen_bool(0.5) {
+                let slot = rng.gen_range(start..=r.horizon());
+                r.fix_slot(j, i, slot, rng.gen_range(0.0..0.6));
+            }
+        }
+    }
+
+    #[test]
+    fn load_certificate_only_refutes_infeasible_lps() {
+        let opts = SolverOptions::default();
+        let mut rng = StdRng::seed_from_u64(20);
+        let (mut cases, mut fired) = (0, 0);
+        for case in 0..120 {
+            let (g, srcs, dsts, scale) = endpoints(case % 2 == 0);
+            let coflows: Vec<Coflow> = (0..rng.gen_range(2..5))
+                .map(|_| {
+                    let flows = (0..rng.gen_range(1..3))
+                        .map(|_| {
+                            let a = srcs[rng.gen_range(0..srcs.len())];
+                            let mut b = dsts[rng.gen_range(0..dsts.len())];
+                            while b == a {
+                                b = dsts[rng.gen_range(0..dsts.len())];
+                            }
+                            Flow::new(a, b, rng.gen_range(0.1..scale))
+                        })
+                        .collect();
+                    Coflow::weighted(rng.gen_range(1.0..3.0), flows)
+                })
+                .collect();
+            let inst = CoflowInstance::new(g, coflows).unwrap();
+            let routing = routing_of(&inst, case / 2 % 3, &mut rng);
+            let flows: Vec<(usize, usize)> = inst
+                .flows()
+                .map(|(k, _)| (k.coflow as usize, k.flow as usize))
+                .collect();
+            let (early, late) = flows.split_at(rng.gen_range(1..=flows.len()));
+            let mut r =
+                TimeIndexedResolver::new(&inst, &routing, rng.gen_range(2..5), true).unwrap();
+            for &(j, i) in early {
+                r.activate_flow(j, i, rng.gen_range(1..=r.horizon()))
+                    .unwrap();
+            }
+            // Check after the activations, after fixes, after growth
+            // (in place or rebuilt) and after late activations.
+            for step in 0..4 {
+                match step {
+                    1 => fix_some(&mut r, &mut rng),
+                    2 => r.grow_horizon(r.horizon() + rng.gen_range(1..3)).unwrap(),
+                    3 => {
+                        for &(j, i) in late {
+                            r.activate_flow(j, i, rng.gen_range(1..=r.horizon()))
+                                .unwrap();
+                        }
+                        fix_some(&mut r, &mut rng);
+                    }
+                    _ => {}
+                }
+                cases += 1;
+                fired += usize::from(certified(&mut r, &opts));
+            }
+        }
+        // Not vacuous: 211 of the 480 checks fire with this seed, on
+        // both topologies under every routing.
+        assert!(
+            fired >= 150,
+            "certificate fired on {fired} of {cases} checks"
+        );
+    }
+
+    #[test]
+    fn load_certificate_leaves_near_tight_loads_to_the_lp() {
+        let opts = SolverOptions::default();
+        let mut rng = StdRng::seed_from_u64(21);
+        for case in 0..60 {
+            let (g, srcs, dsts, _) = endpoints(case % 2 == 0);
+            // One source node sends to every sink; its load after `k`
+            // fixed slots is within the margin of its capacity over the
+            // remaining open slots.
+            let src = srcs[rng.gen_range(0..srcs.len())];
+            let sinks: Vec<NodeId> = dsts.iter().copied().filter(|&d| d != src).collect();
+            let cap: f64 = g.out_edges(src).iter().map(|&e| g.capacity(e)).sum();
+            let (start, horizon) = (rng.gen_range(1..3), rng.gen_range(4..8));
+            let k = rng.gen_range(0..horizon - start);
+            let open = horizon - start + 1 - k;
+            let delta = rng.gen_range(-2e-3..0.99 * CERTIFICATE_MARGIN);
+            let target = cap * f64::from(open) * (1.0 + delta);
+            // Fraction `u/2` of each flow is fixed across the `k` slots.
+            // Demands follow the sinks' in-capacities, which leaves every
+            // sink below its own bound.
+            let u: Vec<f64> = sinks.iter().map(|_| rng.gen_range(0.0..0.5)).collect();
+            let w: Vec<f64> = sinks
+                .iter()
+                .map(|&d| {
+                    let in_cap: f64 = g.in_edges(d).iter().map(|&e| g.capacity(e)).sum();
+                    in_cap * rng.gen_range(0.9..1.0)
+                })
+                .collect();
+            let unfixed_per_unit: f64 = w
+                .iter()
+                .zip(&u)
+                .map(|(w, u)| w * if k > 0 { 1.0 - u / 2.0 } else { 1.0 })
+                .sum();
+            let flows = sinks
+                .iter()
+                .zip(&w)
+                .map(|(&d, w)| Flow::new(src, d, w * target / unfixed_per_unit))
+                .collect();
+            let inst = CoflowInstance::new(g, vec![Coflow::weighted(1.0, flows)]).unwrap();
+            let routing = routing_of(&inst, case / 2 % 3, &mut rng);
+            let mut r = TimeIndexedResolver::new(&inst, &routing, horizon, true).unwrap();
+            for i in 0..sinks.len() {
+                r.activate_flow(0, i, start).unwrap();
+            }
+            r.ensure_built().unwrap();
+            for (i, u) in u.iter().enumerate() {
+                for slot in start..start + k {
+                    r.fix_slot(0, i, slot, u / 2.0 / f64::from(k));
+                }
+            }
+            let _ = r.solve(&opts).unwrap();
+            assert_eq!(r.certified_infeasible(), 0, "case {case}: delta {delta:e}");
+        }
     }
 }

@@ -510,7 +510,9 @@ impl CoflowSolver for DerandSolver {
 /// [`CoflowSolver`]: a persistent warm-started LP by default, all-slack
 /// re-solves with `cold` (the `--cold` A/B escape hatch). Extras:
 /// `resolves` — LP re-solves performed; `lp_iterations` — total simplex
-/// iterations across them; `rebuilds` — horizon growths.
+/// iterations across them; `rebuilds` — horizon growths;
+/// `certified_infeasible` / `solved_infeasible` — infeasible epoch
+/// answers from the load certificate / from an LP solve.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct OnlineSolver {
     /// Re-solve every epoch from the all-slack crash basis.
@@ -535,6 +537,8 @@ impl CoflowSolver for OnlineSolver {
             ("resolves", run.resolves as f64),
             ("lp_iterations", run.lp_iterations as f64),
             ("rebuilds", run.rebuilds as f64),
+            ("certified_infeasible", run.certified_infeasible as f64),
+            ("solved_infeasible", run.solved_infeasible as f64),
         ]);
         Ok(out)
     }
@@ -544,7 +548,8 @@ impl CoflowSolver for OnlineSolver {
 /// [`CoflowSolver`]: each batch appends onto one persistent warm-started
 /// LP (`cold` re-solves each batch from the all-slack basis). Extras:
 /// `batches` — offline solves performed; `lp_iterations` — total
-/// simplex iterations across them.
+/// simplex iterations across them; `certified_infeasible` /
+/// `solved_infeasible` — as for [`OnlineSolver`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct BatchOnlineSolver {
     /// Re-solve every batch from the all-slack crash basis.
@@ -564,6 +569,8 @@ impl CoflowSolver for BatchOnlineSolver {
         out.aux.extend([
             ("batches", run.batches as f64),
             ("lp_iterations", run.lp_iterations as f64),
+            ("certified_infeasible", run.certified_infeasible as f64),
+            ("solved_infeasible", run.solved_infeasible as f64),
         ]);
         Ok(out)
     }

@@ -839,16 +839,10 @@ impl Session<'_> {
                             admitted: tenant.arrivals.len(),
                             objective: fo.objective,
                             completions: fo.completions.clone(),
-                            epochs: 0,
-                            lp_iterations: 0,
-                            cold_iterations: None,
-                            resolves: 0,
-                            rebuilds: 0,
-                            lp_stats: coflow_lp::SolveStats::default(),
                             peak_utilization: fo.peak_utilization,
-                            epoch_objectives: Vec::new(),
                             deadline_total: fo.deadline_total,
                             deadline_missed: fo.deadline_missed,
+                            ..ServiceOutcome::default()
                         };
                         let extras = DoneExtras {
                             tier: tenant.ladder.rung(),

@@ -202,6 +202,11 @@ pub struct ServiceOutcome {
     /// Horizon growths across shards (in place once a shard's resolver
     /// has solved, rebuilt before that).
     pub rebuilds: usize,
+    /// Infeasible answers the shard resolvers' load certificates gave
+    /// without an LP solve.
+    pub certified_infeasible: usize,
+    /// Infeasible answers that took an LP solve.
+    pub solved_infeasible: usize,
     /// Engine counters merged over every solve.
     pub lp_stats: SolveStats,
     /// Peak edge utilization of the merged schedule (≤ 1 + tolerance).
@@ -623,7 +628,9 @@ impl TenantEngine {
     /// LP solves and simplex iterations this engine's resolvers ran,
     /// as `(solves, iterations)`, counted since the engine was built or
     /// restored. [`restore`](Self::restore) replays logs without
-    /// solving, so a restored engine starts at `(0, 0)`.
+    /// solving, so a restored engine starts at `(0, 0)`. An infeasible
+    /// answer from a resolver's load certificate runs no LP and counts
+    /// in neither (see [`TimeIndexedResolver::solve`]).
     pub fn lp_work(&self) -> (usize, usize) {
         let cores = self.cores.as_deref().unwrap_or_default();
         cores
@@ -938,11 +945,14 @@ impl TenantEngine {
         let mut lp_iterations = 0;
         let mut cold_iterations = 0;
         let mut rebuilds = 0;
+        let (mut certified_infeasible, mut solved_infeasible) = (0, 0);
         let mut lp_stats = SolveStats::default();
         for driver in cores.iter().filter_map(EpochCore::driver) {
             lp_iterations += driver.resolver().total_iterations();
             cold_iterations += driver.cold_iterations();
             rebuilds += driver.rebuilds();
+            certified_infeasible += driver.resolver().certified_infeasible();
+            solved_infeasible += driver.resolver().solved_infeasible();
             lp_stats.merge(&driver.lp_stats());
             for (k, &o) in driver.epoch_objectives().iter().enumerate() {
                 match epoch_objectives.get_mut(k) {
@@ -974,6 +984,8 @@ impl TenantEngine {
             cold_iterations: self.config.shadow_cold.then_some(cold_iterations),
             resolves: self.resolves,
             rebuilds,
+            certified_infeasible,
+            solved_infeasible,
             lp_stats,
             peak_utilization: report.peak_utilization,
             epoch_objectives,
