@@ -39,26 +39,27 @@
 //! The model lives on the *global* timeline of the original instance:
 //! flow variables start at the flow's activation slot, and executed
 //! history stays in the model as fixed variables. The first solve is
-//! built lazily over everything activated so far and goes through the
-//! ordinary presolved cold path — when every flow activates at
-//! `release + 1` before the first solve, the model (and hence the
-//! solution) is bit-for-bit the offline [`crate::timeidx`] relaxation.
-//! Later solves use [`Model::solve_warm`]; construct with `warm = false`
-//! (the `--cold` escape hatch) to re-solve every epoch from the
+//! built lazily over everything activated so far and shares one cold
+//! start with the offline [`crate::timeidx`] relaxation: the slot-block
+//! crash, then the dual simplex with steepest-edge pricing. When every
+//! flow activates at `release + 1` before the first solve, the model
+//! (and hence the solution) is bit-for-bit the offline relaxation. That
+//! solve hands back its optimal basis, so later solves re-solve warm
+//! with [`Model::solve_warm`] from a basis that factors as it is.
+//! Construct with `warm = false` (the `--cold` escape hatch) to solve
+//! first through the presolved path and re-solve every epoch from the
 //! all-slack crash basis instead, for A/B iteration measurements.
 //!
 //! [`rebuild`](TimeIndexedResolver::rebuild) replays the activation and
-//! fix logs into a fresh model. It serves only resolvers that have never
-//! solved (no basis to keep) and journal recovery, which builds once from
-//! restored logs.
+//! fix logs into a fresh model and seeds the same slot-block crash. It
+//! serves only resolvers that have never solved (no basis to keep) and
+//! journal recovery, which builds once from restored logs.
 
 use crate::error::CoflowError;
 use crate::model::{Coflow, CoflowInstance};
 use crate::routing::Routing;
 use crate::timeidx::{self, Built, FlowVars, LpRelaxation, LpSize, XChain};
-use coflow_lp::{
-    slot_block_crash, Basis, BasisStatus, Cmp, ConstraintId, Model, Pricing, SolverOptions, VarId,
-};
+use coflow_lp::{Basis, BasisStatus, Cmp, ConstraintId, Model, Pricing, SolverOptions, VarId};
 use coflow_netgraph::{EdgeId, NodeId};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -260,7 +261,11 @@ impl<'a> TimeIndexedResolver<'a> {
         self.last_iterations
     }
 
-    /// Whether the most recent solve started from a kept basis.
+    /// Whether the most recent solve started from a supplied basis: one
+    /// kept from an earlier solve, or the crash a
+    /// [`rebuild`](Self::rebuild) seeded. The first solve of a resolver
+    /// that never rebuilt is not warm, although it too runs the dual
+    /// simplex from the slot-block crash.
     pub fn last_was_warm(&self) -> bool {
         self.last_was_warm
     }
@@ -380,55 +385,39 @@ impl<'a> TimeIndexedResolver<'a> {
             cols: built.model.num_vars(),
             nonzeros: built.model.num_nonzeros(),
         };
-        if !self.solved_once && self.basis.is_none() {
-            // First solve: the ordinary presolved cold path, so a
-            // resolver whose flows all activated up front reproduces the
-            // offline relaxation exactly. (After a rebuild the slot-block
-            // crash may have seeded a basis; that path re-solves warm.)
-            self.last_was_warm = false;
-            return match built.model.solve_with(opts) {
-                Ok(sol) => {
-                    self.solved_once = true;
-                    if self.warm {
-                        // The presolved path captures no basis; crash
-                        // one from the optimal point so the next epoch
-                        // already re-solves warm.
-                        self.basis = Some(Basis::from_point(&built.model, &sol.x));
-                    }
-                    self.last_iterations = sol.iterations;
-                    self.total_iterations += sol.iterations;
-                    Ok(Some(timeidx::extract(
-                        &self.inst,
-                        &self.routing,
-                        built,
-                        &sol,
-                        self.horizon,
-                        size,
-                    )))
-                }
-                Err(coflow_lp::LpError::Infeasible) => {
-                    self.solved_infeasible += 1;
-                    Ok(None)
-                }
-                Err(e) => Err(e.into()),
-            };
-        }
         if let Some(b) = &mut self.basis {
             b.grow(built.model.num_vars(), built.model.num_constraints());
         }
         let warm = if self.warm { self.basis.as_ref() } else { None };
         self.last_was_warm = warm.is_some();
-        // Epoch re-solves run dual steepest edge, whichever pricing rule
-        // the caller's options carry.
-        let epoch_opts = SolverOptions {
-            pricing: Pricing::SteepestEdge,
-            ..opts.clone()
+        let result = if self.solved_once || warm.is_some() {
+            // Epoch re-solves (and the first solve after a rebuild seeded
+            // a basis) run dual steepest edge, whichever pricing rule the
+            // caller's options carry.
+            let epoch_opts = SolverOptions {
+                pricing: Pricing::SteepestEdge,
+                ..opts.clone()
+            };
+            built
+                .model
+                .solve_warm(warm, &epoch_opts)
+                .map(|(sol, basis)| (sol, Some(basis)))
+        } else if self.warm {
+            // First solve: the cold start every time-indexed solve shares
+            // with the offline relaxation, so a resolver whose flows all
+            // activated up front reproduces it exactly, and its optimal
+            // basis is kept for the next epoch. It started from a crash,
+            // not a kept basis, so it does not count as warm.
+            timeidx::solve_built(&built.model, opts)
+        } else {
+            // The `warm = false` baseline keeps the presolved first solve.
+            built.model.solve_with(opts).map(|sol| (sol, None))
         };
-        match built.model.solve_warm(warm, &epoch_opts) {
+        match result {
             Ok((sol, basis)) => {
                 self.solved_once = true;
                 if self.warm {
-                    self.basis = Some(basis);
+                    self.basis = basis;
                 }
                 self.last_iterations = sol.iterations;
                 self.total_iterations += sol.iterations;
@@ -500,9 +489,11 @@ impl<'a> TimeIndexedResolver<'a> {
     }
 
     /// Rebuilds the model over a (possibly larger) horizon from the
-    /// activation and fix logs, dropping the basis: the next solve
-    /// starts from the slot-block crash instead (or cold when `warm` is
-    /// off). Growth goes through [`grow_horizon`](Self::grow_horizon),
+    /// activation and fix logs, dropping the basis. With `warm` on, the
+    /// slot-block crash of [`timeidx`]'s cold start seeds the next solve
+    /// (counted as warm: it starts from a supplied basis); without the
+    /// block signature, or with `warm` off, the next solve is a first
+    /// solve again. Growth goes through [`grow_horizon`](Self::grow_horizon),
     /// which rebuilds only a resolver that has never solved; the other
     /// caller is journal recovery, which builds once from restored logs
     /// ([`restore_logs`](Self::restore_logs)). Panics if the horizon
@@ -525,15 +516,10 @@ impl<'a> TimeIndexedResolver<'a> {
         self.solved_once = false;
         self.ensure_built()?;
         if self.warm {
-            // The rebuilt model re-solves from scratch; instead of the
-            // all-slack crash, exploit the per-slot capacity blocks of
-            // the time-indexed structure: the slot-block presolve crash
-            // point feeds `Basis::from_point`, so the next solve starts
-            // dual-feasible per slot and only repairs the coupling rows.
+            // Seed the cold start of `timeidx::solve_built`: the next
+            // solve runs from the slot-block crash, dual steepest edge.
             let built = self.built.as_ref().expect("just built");
-            if let Some(x) = slot_block_crash(&built.model) {
-                self.basis = Some(Basis::from_point(&built.model, &x));
-            }
+            self.basis = timeidx::crash_basis(&built.model);
         }
         Ok(())
     }
@@ -1363,6 +1349,61 @@ mod tests {
                 let slot = rng.gen_range(start..=r.horizon());
                 r.fix_slot(j, i, slot, rng.gen_range(0.0..0.6));
             }
+        }
+    }
+
+    #[test]
+    fn first_solve_keeps_its_optimal_basis() {
+        // The first solve starts from the slot-block crash, which is not
+        // a kept basis, and keeps the optimal basis it ends on: the
+        // second solve is warm and factors that basis as it is. (A basis
+        // crashed from the optimal point needed a repair in every case.)
+        let opts = SolverOptions::default();
+        let mut rng = StdRng::seed_from_u64(7);
+        for case in 0..12 {
+            let (g, srcs, dsts, scale) = endpoints(case % 2 == 1);
+            let coflows: Vec<Coflow> = (0..6)
+                .map(|_| {
+                    let flows = (0..rng.gen_range(1..=2))
+                        .map(|_| {
+                            let a = srcs[rng.gen_range(0..srcs.len())];
+                            let mut b = dsts[rng.gen_range(0..dsts.len())];
+                            while b == a {
+                                b = dsts[rng.gen_range(0..dsts.len())];
+                            }
+                            Flow::new(a, b, rng.gen_range(0.2..1.0) * scale / 3.0)
+                        })
+                        .collect();
+                    Coflow::weighted(rng.gen_range(1.0..10.0), flows)
+                })
+                .collect();
+            let inst = CoflowInstance::new(g, coflows).unwrap();
+            let routing = routing_of(&inst, case % 3, &mut rng);
+            let t = horizon(&inst, &routing, HorizonMode::Greedy { margin: 1.5 }).unwrap();
+            let mut r = TimeIndexedResolver::new(&inst, &routing, t, true).unwrap();
+            let activate = |r: &mut TimeIndexedResolver<'_>, js: std::ops::Range<usize>, at| {
+                for j in js {
+                    for i in 0..inst.coflows[j].flows.len() {
+                        r.activate_flow(j, i, at).unwrap();
+                    }
+                }
+            };
+            activate(&mut r, 0..4, 1);
+            r.solve(&opts).unwrap().expect("feasible");
+            assert!(!r.last_was_warm(), "case {case}: a crash start is not warm");
+            activate(&mut r, 4..6, 2);
+            let second = r.solve(&opts).unwrap().expect("feasible");
+            assert!(r.last_was_warm(), "case {case}");
+            assert_eq!(
+                second.stats.refactor_repair, 0,
+                "case {case}: the first solve's basis needed a repair"
+            );
+            let (cold, _) = r.probe_cold(&opts).unwrap().expect("feasible");
+            assert!(
+                (second.objective - cold).abs() <= 1e-9 * cold.abs().max(1.0),
+                "case {case}: warm {} vs cold probe {cold}",
+                second.objective
+            );
         }
     }
 

@@ -168,10 +168,28 @@ impl<'a> Sensitivity<'a> {
             nonzeros: self.built.model.num_nonzeros(),
         };
         self.last_was_warm = self.basis.is_some();
-        match self.built.model.solve_warm(self.basis.as_ref(), opts) {
+        // Without a basis, the time-indexed cold start (slot-block crash,
+        // dual steepest edge) — a crash, not a kept basis, so not warm.
+        // Presolve stays off so that a model without the block signature
+        // still reports the duals behind `shadow_prices`.
+        let result = match &self.basis {
+            Some(basis) => self
+                .built
+                .model
+                .solve_warm(Some(basis), opts)
+                .map(|(sol, basis)| (sol, Some(basis))),
+            None => {
+                let cold = SolverOptions {
+                    presolve: false,
+                    ..opts.clone()
+                };
+                timeidx::solve_built(&self.built.model, &cold)
+            }
+        };
+        match result {
             Ok((sol, basis)) => {
                 self.last_iterations = sol.iterations;
-                self.basis = Some(basis);
+                self.basis = basis;
                 self.last_duals = sol.duals.clone();
                 Ok(Some(timeidx::extract(
                     self.inst,
@@ -460,6 +478,22 @@ mod tests {
             boosted < base - 1e-6,
             "boosting the priced edge did not help: {base} -> {boosted}"
         );
+    }
+
+    #[test]
+    fn a_model_without_slot_blocks_still_reports_shadow_prices() {
+        // One slot, one capacity row: no slot-block signature, so the
+        // first solve takes the fallback path, which must keep the duals.
+        let topo = topology::line(2, 1.0);
+        let g = topo.graph;
+        let v0 = g.node_by_label("v0").unwrap();
+        let v1 = g.node_by_label("v1").unwrap();
+        let inst = CoflowInstance::new(g, vec![Coflow::new(vec![Flow::new(v0, v1, 1.0)])]).unwrap();
+        let mut sens = Sensitivity::new(&inst, &Routing::FreePath, 1).unwrap();
+        assert!(coflow_lp::detect_slot_blocks(&sens.built.model).is_none());
+        sens.solve(&SolverOptions::default()).unwrap();
+        assert!(!sens.last_was_warm());
+        assert!(sens.shadow_prices().is_some(), "solved, yet no duals");
     }
 
     #[test]

@@ -30,7 +30,10 @@ use crate::error::CoflowError;
 use crate::model::CoflowInstance;
 use crate::rateplan::{FlowPlan, RatePlan, Segment};
 use crate::routing::Routing;
-use coflow_lp::{Cmp, ConstraintId, Model, Sense, Solution, SolverOptions, VarId};
+use coflow_lp::{
+    slot_block_crash, Basis, Cmp, ConstraintId, LpError, Model, Pricing, Sense, Solution,
+    SolverOptions, VarId,
+};
 use coflow_netgraph::EdgeId;
 
 /// Fraction below which an LP value is treated as zero during extraction.
@@ -111,7 +114,14 @@ pub(crate) struct XChain {
     pub(crate) completion: ConstraintId,
 }
 
-/// Builds and solves the time-indexed LP.
+/// Builds and solves the time-indexed LP from its one cold start: when
+/// the model carries the per-slot capacity-block signature of
+/// [`coflow_lp::detect_slot_blocks`], the solve starts from
+/// [`slot_block_crash`]'s point and runs the dual simplex with
+/// steepest-edge pricing, so `opts.pricing` and `opts.presolve` do not
+/// apply. Other models (a single block, e.g. one slot with one capacity
+/// row) take the presolved [`Model::solve_with`] path with `opts` as
+/// given.
 ///
 /// # Errors
 ///
@@ -131,8 +141,43 @@ pub fn solve_time_indexed(
         cols: built.model.num_vars(),
         nonzeros: built.model.num_nonzeros(),
     };
-    let sol = built.model.solve_with(opts)?;
+    let (sol, _) = solve_built(&built.model, opts)?;
     Ok(extract(inst, routing, &built, &sol, horizon, size))
+}
+
+/// The cold start of every time-indexed solve: a basis crashed from
+/// [`slot_block_crash`]'s point, or `None` when the model lacks the
+/// per-slot capacity-block signature.
+pub(crate) fn crash_basis(model: &Model) -> Option<Basis> {
+    slot_block_crash(model).map(|x| Basis::from_point(model, &x))
+}
+
+/// Solves a time-indexed model from scratch. When [`crash_basis`] finds
+/// the slot-block signature, the crashed basis goes to
+/// [`Model::solve_warm`] with dual steepest edge — the rule every epoch
+/// re-solve of [`crate::resolver`] uses — and the optimal basis comes
+/// back for warm re-solves. Otherwise the model takes the presolved
+/// [`Model::solve_with`] path with `opts` as given and no basis comes
+/// back.
+///
+/// # Errors
+///
+/// Any [`LpError`], in particular [`LpError::Infeasible`].
+pub(crate) fn solve_built(
+    model: &Model,
+    opts: &SolverOptions,
+) -> Result<(Solution, Option<Basis>), LpError> {
+    match crash_basis(model) {
+        Some(crash) => {
+            let opts = SolverOptions {
+                pricing: Pricing::SteepestEdge,
+                ..opts.clone()
+            };
+            let (sol, basis) = model.solve_warm(Some(&crash), &opts)?;
+            Ok((sol, Some(basis)))
+        }
+        None => Ok((model.solve_with(opts)?, None)),
+    }
 }
 
 /// Free-path edge mask for a `(src, dst)` pair: edges on some
@@ -767,5 +812,143 @@ mod tests {
             crate::validate::Tolerance::default(),
         )
         .unwrap();
+    }
+
+    /// Random coflows of one or two flows between `srcs` and `dsts`.
+    fn random_instance(
+        g: &coflow_netgraph::Graph,
+        srcs: &[coflow_netgraph::NodeId],
+        dsts: &[coflow_netgraph::NodeId],
+        demand: f64,
+        rng: &mut StdRng,
+    ) -> CoflowInstance {
+        use rand::Rng;
+        let coflows = (0..5)
+            .map(|_| {
+                let flows = (0..rng.gen_range(1..=2))
+                    .map(|_| {
+                        let a = srcs[rng.gen_range(0..srcs.len())];
+                        let mut b = dsts[rng.gen_range(0..dsts.len())];
+                        while b == a {
+                            b = dsts[rng.gen_range(0..dsts.len())];
+                        }
+                        Flow::released(a, b, rng.gen_range(0.2..1.0) * demand, rng.gen_range(0..3))
+                    })
+                    .collect();
+                Coflow::weighted(rng.gen_range(1.0..10.0), flows)
+            })
+            .collect();
+        CoflowInstance::new(g.clone(), coflows).unwrap()
+    }
+
+    /// SWAN, G-Scale and a 6-port big switch (port limits from the I/O
+    /// gadget): graph, sources, sinks and a demand scale.
+    fn networks() -> Vec<(
+        coflow_netgraph::Graph,
+        Vec<coflow_netgraph::NodeId>,
+        Vec<coflow_netgraph::NodeId>,
+        f64,
+    )> {
+        use coflow_netgraph::gadget::{with_io_gadget, IoLimit};
+        let wan = |topo: topology::Topology, demand: f64| {
+            let g = topo.graph;
+            let all: Vec<_> = g.nodes().collect();
+            (g, all.clone(), all, demand)
+        };
+        let fabric = topology::bipartite_switch(6, 1.0);
+        let limits = vec![IoLimit::symmetric(1.0); fabric.graph.node_count()];
+        let gg = with_io_gadget(&fabric.graph, &limits);
+        let inner = |vs: &[coflow_netgraph::NodeId]| -> Vec<_> {
+            vs.iter().map(|v| gg.inner[v.index()]).collect()
+        };
+        let (srcs, dsts) = (inner(&fabric.sources), inner(&fabric.sinks));
+        vec![
+            wan(topology::swan(), 40.0),
+            wan(topology::gscale(), 40.0),
+            (gg.graph, srcs, dsts, 2.0),
+        ]
+    }
+
+    #[test]
+    fn slot_block_cold_start_matches_the_presolved_optimum() {
+        let opts = SolverOptions::default();
+        let mut rng = StdRng::seed_from_u64(21);
+        for (g, srcs, dsts, demand) in networks() {
+            for kind in 0..3 {
+                for _ in 0..2 {
+                    let inst = random_instance(&g, &srcs, &dsts, demand, &mut rng);
+                    let routing = match kind {
+                        0 => Routing::FreePath,
+                        1 => routing::random_shortest_paths(&inst, &mut rng).unwrap(),
+                        _ => routing::k_shortest_path_sets(&inst, 2).unwrap(),
+                    };
+                    let t = crate::horizon::horizon(
+                        &inst,
+                        &routing,
+                        crate::horizon::HorizonMode::Greedy { margin: 1.5 },
+                    )
+                    .unwrap();
+                    let built = build(&inst, &routing, t).unwrap();
+                    // The fast path cannot be skipped silently.
+                    assert!(
+                        coflow_lp::detect_slot_blocks(&built.model).is_some(),
+                        "no slot blocks under {routing:?}"
+                    );
+                    let (sol, basis) = solve_built(&built.model, &opts).unwrap();
+                    assert!(basis.is_some(), "the crash path returns its basis");
+                    let presolved = built.model.solve_with(&opts).unwrap();
+                    assert!(
+                        (sol.objective - presolved.objective).abs()
+                            <= 1e-9 * presolved.objective.abs().max(1.0),
+                        "crash {} vs presolved {} under {routing:?}",
+                        sol.objective,
+                        presolved.objective
+                    );
+                    let size = LpSize::default();
+                    let lp = extract(&inst, &routing, &built, &sol, t, size);
+                    for lambda in [0.6, 1.0] {
+                        let sched = crate::stretch::stretch_schedule(
+                            &inst,
+                            &lp.plan,
+                            lambda,
+                            crate::stretch::StretchOptions::default(),
+                        );
+                        crate::validate::validate(
+                            &inst,
+                            &routing,
+                            &sched,
+                            crate::validate::Tolerance::default(),
+                        )
+                        .unwrap();
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn model_without_slot_blocks_takes_the_presolved_path() {
+        let inst = fig2_instance();
+        let opts = SolverOptions::default();
+        let mut built = build(&inst, &Routing::FreePath, 6).unwrap();
+        // Force a tenth of the heavy flow over its first edge in slot 2:
+        // a shifted lower bound in a capacity row breaks the signature.
+        let v = built.flow_vars[3][0].edges[0].1[1];
+        built.model.set_bounds(v, 0.1, 1.0);
+        assert!(coflow_lp::detect_slot_blocks(&built.model).is_none());
+        let (sol, basis) = solve_built(&built.model, &opts).unwrap();
+        assert!(basis.is_none(), "the presolved path keeps no basis");
+        let presolved = built.model.solve_with(&opts).unwrap();
+        assert_eq!(sol.objective.to_bits(), presolved.objective.to_bits());
+        assert_eq!(sol.iterations, presolved.iterations);
+        // And it is the optimum an unpresolved cold solve finds.
+        let (cold, _) = built.model.solve_warm(None, &opts).unwrap();
+        assert!(
+            (sol.objective - cold.objective).abs() <= 1e-9 * cold.objective.abs().max(1.0),
+            "presolved {} vs cold {}",
+            sol.objective,
+            cold.objective
+        );
+        assert!(sol.x[v.index()] >= 0.1 - 1e-9);
     }
 }

@@ -92,17 +92,18 @@ impl Basis {
         self.rows.resize(num_rows, BasisStatus::Basic);
     }
 
-    /// Crashes a basis from a primal point (typically an optimal
-    /// solution whose basis was not captured — e.g. a presolved
-    /// [`Model::solve`](crate::Model::solve)): variables sitting on a
-    /// bound become nonbasic there, everything strictly between its
-    /// bounds becomes basic, and each row's slack status is read off the
-    /// row activity. The result is generally *not* the simplex basis
-    /// that produced the point (degenerate vertices leave basic
-    /// variables parked on bounds), but installed via
-    /// [`Model::solve_warm`](crate::Model::solve_warm) it is primal
-    /// feasible at the point, so a warm re-solve starts from a handful
-    /// of pivots instead of the all-slack crash.
+    /// Crashes a basis from a primal point — typically a crash point
+    /// such as [`slot_block_crash`](crate::slot_block_crash)'s, the
+    /// cold start of time-indexed solves, or a point from a solver
+    /// without basis machinery: variables sitting on a bound become
+    /// nonbasic there, everything strictly between its bounds becomes
+    /// basic, and each row's slack status is read off the row activity.
+    /// At a degenerate vertex the result is generally *not* a simplex
+    /// basis (basic variables parked on bounds are lost, so it can be
+    /// short of basics or singular, and installing it then costs a
+    /// repair). Installed via
+    /// [`Model::solve_warm`](crate::Model::solve_warm), it starts the
+    /// solve at the point instead of the all-slack crash.
     pub fn from_point(model: &Model, x: &[f64]) -> Basis {
         let at = |v: f64, bound: f64| (v - bound).abs() <= 1e-9 * (1.0 + bound.abs());
         let vars = (0..model.num_vars())
